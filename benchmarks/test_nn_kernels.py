@@ -1,24 +1,18 @@
-"""Arena-kernel vs legacy allocation training throughput benchmark.
+"""nn training throughput benchmark.
 
-Trains the paper's 512/256/128/64 autoencoder architecture twice through
-:meth:`repro.nn.network.Sequential.fit` -- once on the allocation-free
-workspace kernel path (``use_workspace=True``) and once on the legacy
-allocating path (``use_workspace=False``) -- verifies the two runs are
-bit-identical, and records both wall-clock times, the throughput ratio
-and the arena telemetry to ``benchmarks/results/nn_kernels.txt`` plus
-the machine-readable ``benchmarks/results/BENCH_nn_kernels.json``.
-
-The >= 1.8x speedup assertion only runs on machines with at least four
-CPU cores -- single-core containers are dominated by BLAS time where
-the allocator savings shrink, so the harness records the measurement
-without failing (same policy as ``test_parallel_speedup``).
+Trains the paper's 512/256/128/64 autoencoder architecture through
+:meth:`repro.nn.network.Sequential.fit` and records the absolute
+wall-clock time, the mini-batch steps per second and the workspace
+arena's hit rate and peak bytes to ``benchmarks/results/nn_kernels.txt``
+plus the machine-readable ``benchmarks/results/BENCH_nn_kernels.json``
+(gated against the committed envelope by
+``tools/check_bench_regression.py``).
 """
 
 import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.network import Sequential
@@ -30,7 +24,6 @@ N_SAMPLES = 2048
 DIM = 512
 EPOCHS = 3
 BATCH_SIZE = 32
-SPEEDUP_FLOOR = 1.8
 
 
 def build_network(seed=11):
@@ -47,7 +40,8 @@ def build_network(seed=11):
     return net
 
 
-def timed_fit(x, use_workspace):
+def test_nn_kernel_throughput():
+    x = np.random.default_rng(7).random((N_SAMPLES, DIM))
     net = build_network()
     start = time.perf_counter()
     history = net.fit(
@@ -59,54 +53,31 @@ def timed_fit(x, use_workspace):
         optimizer="adadelta",
         validation_split=0.0,
         shuffle=True,
-        verbose=False,
-        use_workspace=use_workspace,
     )
-    elapsed = time.perf_counter() - start
-    return elapsed, history, net
+    seconds = time.perf_counter() - start
+    assert np.all(np.isfinite(history.loss))
 
-
-def test_nn_kernel_speedup_and_parity():
-    rng = np.random.default_rng(7)
-    x = rng.random((N_SAMPLES, DIM))
-
-    legacy_s, legacy_hist, legacy_net = timed_fit(x, use_workspace=False)
-    arena_s, arena_hist, arena_net = timed_fit(x, use_workspace=True)
-    speedup = legacy_s / arena_s if arena_s > 0 else float("inf")
-    stats = arena_net.workspace.stats()
-
-    cores = os.cpu_count() or 1
     steps = EPOCHS * ((N_SAMPLES + BATCH_SIZE - 1) // BATCH_SIZE)
+    steps_per_sec = steps / seconds
+    stats = net.workspace.stats()
+    cores = os.cpu_count() or 1
     lines = [
-        "Arena-kernel training throughput (Sequential.fit)",
+        "nn training throughput (Sequential.fit)",
         f"architecture={'x'.join(map(str, ENCODER_UNITS))} (mirrored)  "
         f"samples={N_SAMPLES}  dim={DIM}  epochs={EPOCHS}  batch={BATCH_SIZE}",
         f"cpu_cores={cores}",
-        f"legacy (allocating): {legacy_s:8.2f} s",
-        f"arena  (workspace):  {arena_s:8.2f} s",
-        f"speedup: {speedup:.2f}x",
+        f"fit: {seconds:8.2f} s  ({steps} steps, {steps_per_sec:.1f} steps/s)",
         f"arena: hit_rate={stats.hit_rate:.3f}  buffers={stats.buffers}  "
         f"peak_bytes={stats.peak_bytes}",
     ]
-
-    # Correctness first: the kernel path must be bit-identical to legacy.
-    assert legacy_hist.loss == arena_hist.loss
-    np.testing.assert_array_equal(
-        legacy_net.predict(x, use_workspace=False),
-        arena_net.predict(x, use_workspace=True),
-    )
-    lines.append("parity: arena loss curve and predictions bit-identical to legacy")
-
     save_result("nn_kernels", "\n".join(lines))
     save_result_json(
         "nn_kernels",
         metrics={
-            "legacy_seconds": legacy_s,
-            "arena_seconds": arena_s,
-            "speedup": speedup,
+            "fit_seconds": seconds,
+            "steps_per_sec": steps_per_sec,
             "arena_hit_rate": stats.hit_rate,
             "arena_peak_bytes": stats.peak_bytes,
-            "parity": True,
         },
         params={
             "encoder_units": list(ENCODER_UNITS),
@@ -116,17 +87,6 @@ def test_nn_kernel_speedup_and_parity():
             "batch_size": BATCH_SIZE,
             "optimizer": "adadelta",
             "steps": steps,
-            "speedup_floor": SPEEDUP_FLOOR,
         },
         meta={"cpu_cores": cores},
-    )
-
-    if cores < 4:
-        pytest.skip(
-            f"only {cores} core(s): BLAS-bound, speedup floor not "
-            "representative; results recorded"
-        )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"expected >= {SPEEDUP_FLOOR}x arena speedup on {cores} cores, "
-        f"measured {speedup:.2f}x"
     )

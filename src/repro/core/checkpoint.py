@@ -133,13 +133,11 @@ def config_digest(config: ModelConfig) -> str:
     training is deterministic in the config, see
     :mod:`repro.nn.parallel`).
 
-    Execution-layout knobs that provably do not change results are
-    excluded: ``n_shards`` (the staged pipeline is bit-identical at any
-    shard count, see :mod:`repro.core.pipeline`) and the autoencoder's
-    ``arena`` switch (the workspace kernel path is bit-identical to the
-    allocating path, see :mod:`repro.nn.workspace`), so a checkpoint
-    written under one setting resumes under any other -- and older
-    checkpoints (written before each field existed) keep matching.
+    ``n_shards`` is excluded because it provably does not change
+    results (the staged pipeline is bit-identical at any shard count,
+    see :mod:`repro.core.pipeline`), so a checkpoint written at one
+    shard count resumes at any other -- and older checkpoints (written
+    before the field existed) keep matching.
     ``n_jobs`` stays in the digest for compatibility with already
     written checkpoints (changing it would orphan them).  The
     autoencoder ``dtype`` stays in too: float32 and float64 runs are
@@ -147,8 +145,6 @@ def config_digest(config: ModelConfig) -> str:
     """
     doc = asdict(config)
     doc.pop("n_shards", None)
-    if isinstance(doc.get("autoencoder"), dict):
-        doc["autoencoder"].pop("arena", None)
     canonical = json.dumps(doc, sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -40,12 +40,6 @@ class AutoencoderConfig:
         dtype: compute dtype, 'float64' (default, bit-reproducible) or
             'float32' (roughly half the memory traffic; results are NOT
             bit-comparable with float64 runs -- see docs/PERFORMANCE.md).
-        arena: force the allocation-free kernel path on (True) or off
-            (False); None defers to the process default
-            (:func:`repro.nn.workspace.arena_enabled`).  Numerically
-            irrelevant in float64 -- both paths are bit-identical -- so
-            this is an A/B-benchmarking and escape-hatch knob only, and
-            it is excluded from checkpoint config digests.
     """
 
     encoder_units: Tuple[int, ...] = (512, 256, 128, 64)
@@ -60,7 +54,6 @@ class AutoencoderConfig:
     validation_split: float = 0.1
     seed: Optional[int] = 7
     dtype: str = "float64"
-    arena: Optional[bool] = None
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -163,16 +156,13 @@ class Autoencoder:
             early_stopping_patience=cfg.early_stopping_patience,
             verbose=verbose,
             callbacks=callbacks,
-            use_workspace=cfg.arena,
         )
         self._fitted = True
         return history
 
     def reconstruct(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
         """Inference-mode reconstruction of ``x``."""
-        return self.network.predict(
-            self._validate(x), batch_size=batch_size, use_workspace=self.config.arena
-        )
+        return self.network.predict(self._validate(x), batch_size=batch_size)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Return the bottleneck code for ``x``.
@@ -216,12 +206,7 @@ class Autoencoder:
             for start in range(0, n, batch_size):
                 idx = np.arange(start, min(start + batch_size, n))
                 xb = np.asarray(x.rows(idx), dtype=np.float64)
-                errors[idx] = per_sample(
-                    xb,
-                    self.network.predict(
-                        xb, batch_size=batch_size, use_workspace=self.config.arena
-                    ),
-                )
+                errors[idx] = per_sample(xb, self.network.predict(xb, batch_size=batch_size))
             return errors
         x = self._validate(x)
         return per_sample(x, self.reconstruct(x, batch_size=batch_size))

@@ -15,13 +15,13 @@ The protocol is duck-typed and deliberately tiny:
   ``(len(indices), dim)`` float array; called once per mini-batch.
 
 Because a source may assemble rows from arbitrary backing storage, the
-gather is inherently allocating; on the allocation-free kernel path
-(:mod:`repro.nn.workspace`) the training loop therefore keeps calling
-``rows`` as-is while routing everything downstream of the gather
-through the buffer arena.  Sources backed by one dense array can
-additionally accept ``rows(indices, out=...)`` to fill a caller-owned
-buffer (as :class:`ArrayRowSource` does), which composes with the arena
-without being required by the protocol.
+gather is inherently allocating; the training loop therefore keeps
+calling ``rows`` as-is while routing everything downstream of the
+gather through the buffer arena (:mod:`repro.nn.workspace`).  Sources
+backed by one dense array can additionally accept
+``rows(indices, out=...)`` to fill a caller-owned buffer (as
+:class:`ArrayRowSource` does), which composes with the arena without
+being required by the protocol.
 
 Shuffling, validation splits and early stopping all work unchanged:
 the training loop permutes *indices* and asks the source for each

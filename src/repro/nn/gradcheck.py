@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.losses import Loss, MeanSquaredError
-from repro.nn.workspace import Workspace
 
 
 def numerical_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -44,15 +43,11 @@ def check_layer_input_gradient(
     loss: Optional[Loss] = None,
     training: bool = True,
     eps: float = 1e-6,
-    ws: Optional[Workspace] = None,
 ) -> float:
     """Compare the layer's dL/dx against a numerical estimate.
 
     The scalar objective is ``loss(target=0, layer(x))``; returns the max
-    relative error between analytic and numerical input gradients.  With
-    ``ws``, the analytic gradient runs through the arena kernel path
-    (the numerical estimate always uses the allocating reference path),
-    so the same check validates both implementations.
+    relative error between analytic and numerical input gradients.
     """
     loss = loss or MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
@@ -61,13 +56,8 @@ def check_layer_input_gradient(
         out = layer.forward(inp, training=training)
         return loss.value(np.zeros_like(out), out)
 
-    if ws is not None:
-        ws.reset()
-    out = layer.forward(x, training=training, ws=ws)
-    grad = loss.gradient(np.zeros_like(out), out)
-    if ws is not None:
-        grad = grad.copy()  # backward may mutate its input on the kernel path
-    analytic = np.array(layer.backward(grad, ws=ws), copy=True)
+    out = layer.forward(x, training=training)
+    analytic = layer.backward(loss.gradient(np.zeros_like(out), out))
     numeric = numerical_gradient(objective, x.copy(), eps=eps)
     return relative_error(analytic, numeric)
 
@@ -78,12 +68,8 @@ def check_layer_param_gradients(
     loss: Optional[Loss] = None,
     training: bool = True,
     eps: float = 1e-6,
-    ws: Optional[Workspace] = None,
 ) -> dict:
     """Check dL/dparam for every trainable parameter of the layer.
-
-    With ``ws``, analytic gradients run on the arena kernel path (see
-    :func:`check_layer_input_gradient`).
 
     Returns:
         Mapping of parameter name to max relative error.
@@ -91,13 +77,8 @@ def check_layer_param_gradients(
     loss = loss or MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
 
-    if ws is not None:
-        ws.reset()
-    out = layer.forward(x, training=training, ws=ws)
-    grad = loss.gradient(np.zeros_like(out), out)
-    if ws is not None:
-        grad = grad.copy()
-    layer.backward(grad, ws=ws)
+    out = layer.forward(x, training=training)
+    layer.backward(loss.gradient(np.zeros_like(out), out))
     analytic = {p.name: p.grad.copy() for p in layer.parameters()}
 
     errors = {}

@@ -14,20 +14,21 @@ matches how the :class:`repro.nn.network.Sequential` training loop uses
 them: one backward per mini-batch followed immediately by an optimizer
 step.
 
-Allocation-free kernel path
----------------------------
+Workspace kernels
+-----------------
 
-Both methods accept an optional ``ws`` -- a
-:class:`repro.nn.workspace.Workspace` buffer arena.  Without one, every
-intermediate is freshly allocated (the legacy reference path).  With
-one, the same arithmetic runs through ``out=``-parameter ufunc and
-``np.matmul`` kernels over recycled scratch buffers: the operations,
-their order and their operand dtypes are unchanged, so float64 results
-are **bit-identical** to the legacy path (pinned by
-``tests/nn/test_kernel_equivalence.py``) while the steady-state loop
-performs zero array allocation.
+Both methods take an optional ``ws`` -- a
+:class:`repro.nn.workspace.Workspace` buffer arena -- and run every
+intermediate through ``out=``-parameter ufunc and ``np.matmul`` kernels
+over its recycled scratch buffers, so the steady-state training loop
+performs zero array allocation.  A call without ``ws`` gets a fresh
+throwaway arena (same arithmetic, buffers simply not reused).  Outputs
+are acquired in ``np.result_type`` of their operands, so a standalone
+mixed-dtype call promotes exactly as numpy's operators do; inside
+:class:`repro.nn.network.Sequential` every operand is already the
+network's dtype.
 
-Two extra rules apply on the kernel path only:
+Two contracts follow from buffer reuse:
 
 * a gradient passed to ``backward(grad, ws)`` may be **mutated in
   place** and/or returned as ``dL/d(input)``; callers must treat the
@@ -165,15 +166,9 @@ class Dense(Layer):
         del training
         if not self.built:
             raise RuntimeError("Dense layer used before build()")
+        ws = ws or Workspace()
         self._x = x
-        if ws is not None and x.dtype != self.weight.value.dtype:
-            ws = None  # mixed dtypes promote; let the legacy expressions do it
-        if ws is None:
-            out = x @ self.weight.value
-            if self.use_bias:
-                out = out + self.bias.value
-            return out
-        out = ws.acquire((x.shape[0], self.units), x.dtype)
+        out = ws.acquire((x.shape[0], self.units), np.result_type(x, self.weight.value))
         np.matmul(x, self.weight.value, out=out)
         if self.use_bias:
             np.add(out, self.bias.value, out=out)
@@ -182,18 +177,11 @@ class Dense(Layer):
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward() called before forward()")
-        if ws is None or grad_out.dtype != self._x.dtype:
-            # Mixed dtypes (a float32 net whose gradient was promoted to
-            # float64 upstream, e.g. by LeakyReLU) take the legacy path:
-            # out= kernels would change the accumulation dtype.
-            self.weight.grad = self._x.T @ grad_out
-            if self.use_bias:
-                self.bias.grad = grad_out.sum(axis=0)
-            return grad_out @ self.weight.value.T
+        ws = ws or Workspace()
         np.matmul(self._x.T, grad_out, out=self.weight.grad)
         if self.use_bias:
             grad_out.sum(axis=0, out=self.bias.grad)
-        grad_in = ws.acquire(self._x.shape, grad_out.dtype)
+        grad_in = ws.acquire(self._x.shape, np.result_type(grad_out, self.weight.value))
         np.matmul(grad_out, self.weight.value.T, out=grad_in)
         return grad_in
 
@@ -243,29 +231,15 @@ class BatchNormalization(Layer):
     ) -> np.ndarray:
         if not self.built:
             raise RuntimeError("BatchNormalization layer used before build()")
-        if ws is not None and x.dtype != self.gamma.value.dtype:
-            ws = None  # mixed dtypes promote; let the legacy expressions do it
-        if ws is None:
-            if training:
-                mean = x.mean(axis=0)
-                var = x.var(axis=0)
-                self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-                self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            else:
-                mean = self.running_mean
-                var = self.running_var
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat = (x - mean) * inv_std
-            self._cache = (x_hat, inv_std, np.asarray(training))
-            return self.gamma.value * x_hat + self.beta.value
+        ws = ws or Workspace()
         d = x.shape[1]
         if training:
             mean = ws.acquire((d,), x.dtype)
             var = ws.acquire((d,), x.dtype)
             x.mean(axis=0, out=mean)
             x.var(axis=0, out=var)
-            # running = momentum * running + (1 - momentum) * batch_stat,
-            # evaluated as the legacy path does: two products, one add.
+            # running = momentum * running + (1 - momentum) * batch_stat:
+            # two products, one add, updated in the running stats' dtype.
             scratch = ws.acquire((d,), x.dtype)
             np.multiply(self.running_mean, self.momentum, out=self.running_mean)
             np.multiply(mean, 1 - self.momentum, out=scratch)
@@ -276,15 +250,16 @@ class BatchNormalization(Layer):
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = ws.acquire((d,), x.dtype)
+        # inv_std = 1 / sqrt(var + eps); x_hat = (x - mean) * inv_std
+        inv_std = ws.acquire((d,), var.dtype)
         np.add(var, self.epsilon, out=inv_std)
         np.sqrt(inv_std, out=inv_std)
         np.divide(1.0, inv_std, out=inv_std)
-        x_hat = ws.acquire(x.shape, x.dtype)
+        x_hat = ws.acquire(x.shape, np.result_type(x, mean, inv_std))
         np.subtract(x, mean, out=x_hat)
         np.multiply(x_hat, inv_std, out=x_hat)
         self._cache = (x_hat, inv_std, np.asarray(training))
-        out = ws.acquire(x.shape, x.dtype)
+        out = ws.acquire(x.shape, np.result_type(x_hat, self.gamma.value))
         np.multiply(self.gamma.value, x_hat, out=out)
         np.add(out, self.beta.value, out=out)
         return out
@@ -293,40 +268,28 @@ class BatchNormalization(Layer):
         if self._cache is None:
             raise RuntimeError("backward() called before forward()")
         x_hat, inv_std, was_training = self._cache
-        n = grad_out.shape[0]
-        if ws is not None and grad_out.dtype != self.gamma.value.dtype:
-            ws = None  # promoted gradient: legacy path keeps dtypes identical
-        if ws is None:
-            self.gamma.grad = (grad_out * x_hat).sum(axis=0)
-            self.beta.grad = grad_out.sum(axis=0)
-            grad_xhat = grad_out * self.gamma.value
-            if not bool(was_training):
-                # Inference statistics are constants w.r.t. the input.
-                return grad_xhat * inv_std
-            # Full batch-norm backward: mean and variance depend on the batch.
-            return (
-                inv_std
-                / n
-                * (n * grad_xhat - grad_xhat.sum(axis=0) - x_hat * (grad_xhat * x_hat).sum(axis=0))
-            )
-        d = grad_out.shape[1]
-        tmp = ws.acquire(grad_out.shape, grad_out.dtype)
+        ws = ws or Workspace()
+        n, d = grad_out.shape
+        dt = np.result_type(grad_out, x_hat, self.gamma.value)
+        tmp = ws.acquire(grad_out.shape, dt)
         np.multiply(grad_out, x_hat, out=tmp)
         tmp.sum(axis=0, out=self.gamma.grad)
         grad_out.sum(axis=0, out=self.beta.grad)
-        grad_xhat = ws.acquire(grad_out.shape, grad_out.dtype)
+        grad_xhat = ws.acquire(grad_out.shape, dt)
         np.multiply(grad_out, self.gamma.value, out=grad_xhat)
         if not bool(was_training):
+            # Inference statistics are constants w.r.t. the input.
             np.multiply(grad_xhat, inv_std, out=grad_xhat)
             return grad_xhat
-        # Same expression as the legacy path, one out= kernel per node:
+        # Full batch-norm backward (mean and variance depend on the
+        # batch), one out= kernel per node:
         # inv_std/n * (n*gx - gx.sum(0) - x_hat * (gx*x_hat).sum(0))
-        s1 = ws.acquire((d,), grad_out.dtype)
+        s1 = ws.acquire((d,), dt)
         grad_xhat.sum(axis=0, out=s1)
         np.multiply(grad_xhat, x_hat, out=tmp)
-        s2 = ws.acquire((d,), grad_out.dtype)
+        s2 = ws.acquire((d,), dt)
         tmp.sum(axis=0, out=s2)
-        scale = ws.acquire((d,), grad_out.dtype)
+        scale = ws.acquire((d,), dt)
         np.divide(inv_std, n, out=scale)
         np.multiply(grad_xhat, n, out=grad_xhat)
         np.subtract(grad_xhat, s1, out=grad_xhat)
@@ -369,15 +332,12 @@ class ReLU(Layer):
         self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
     ) -> np.ndarray:
         del training
-        if ws is None:
-            self._mask = x > 0
-            return np.where(self._mask, x, 0.0)
+        ws = ws or Workspace()
         mask = ws.acquire(x.shape, np.bool_)
         np.greater(x, 0, out=mask)
         self._mask = mask
         # where(mask, x, 0.0) without np.where: zero-fill, then copy the
-        # kept elements -- identical selection semantics (incl. +0.0 in
-        # the rejected slots).
+        # kept elements (+0.0 in the rejected slots).
         out = ws.acquire(x.shape, x.dtype)
         out.fill(0.0)
         np.copyto(out, x, where=mask)
@@ -386,8 +346,7 @@ class ReLU(Layer):
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward() called before forward()")
-        if ws is None:
-            return grad_out * self._mask
+        del ws
         np.multiply(grad_out, self._mask, out=grad_out)
         return grad_out
 
@@ -403,9 +362,7 @@ class LeakyReLU(Layer):
         self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
     ) -> np.ndarray:
         del training
-        if ws is None:
-            self._mask = x > 0
-            return np.where(self._mask, x, self.alpha * x)
+        ws = ws or Workspace()
         mask = ws.acquire(x.shape, np.bool_)
         np.greater(x, 0, out=mask)
         self._mask = mask
@@ -417,17 +374,14 @@ class LeakyReLU(Layer):
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward() called before forward()")
-        if ws is None:
-            return grad_out * np.where(self._mask, 1.0, self.alpha)
-        # np.where over two python-float scalars yields float64 whatever
-        # the compute dtype; reproduce that exactly so the kernel path
-        # promotes (or not) the same way the legacy path does.
-        slope = ws.acquire(grad_out.shape, np.float64)
+        ws = ws or Workspace()
+        # The slope is built in the gradient's dtype so a float32 network
+        # keeps float32 gradients (alpha rounds to float32 there).
+        slope = ws.acquire(grad_out.shape, grad_out.dtype)
         slope.fill(self.alpha)
         np.copyto(slope, 1.0, where=self._mask)
-        out = ws.acquire(grad_out.shape, np.result_type(grad_out.dtype, slope.dtype))
-        np.multiply(grad_out, slope, out=out)
-        return out
+        np.multiply(grad_out, slope, out=grad_out)
+        return grad_out
 
 
 class Sigmoid(Layer):
@@ -440,18 +394,10 @@ class Sigmoid(Layer):
         self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
     ) -> np.ndarray:
         del training
-        if ws is None:
-            # Numerically stable piecewise formulation.
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            self._out = out
-            return out
-        # Same piecewise values without fancy indexing: exp(-|x|) equals
-        # exp(-x) on the positive branch and exp(x) on the negative one,
-        # so each element sees exactly the legacy arithmetic.
+        ws = ws or Workspace()
+        # Numerically stable piecewise formulation without fancy indexing:
+        # exp(-|x|) equals exp(-x) on the positive branch and exp(x) on
+        # the negative one.
         t = ws.acquire(x.shape, x.dtype)
         np.abs(x, out=t)
         np.negative(t, out=t)
@@ -470,9 +416,9 @@ class Sigmoid(Layer):
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward() called before forward()")
-        if ws is None or grad_out.dtype != self._out.dtype:
-            return grad_out * self._out * (1.0 - self._out)
-        t = ws.acquire(grad_out.shape, grad_out.dtype)
+        ws = ws or Workspace()
+        # grad * out * (1 - out)
+        t = ws.acquire(grad_out.shape, self._out.dtype)
         np.subtract(1.0, self._out, out=t)
         np.multiply(grad_out, self._out, out=grad_out)
         np.multiply(grad_out, t, out=grad_out)
@@ -489,9 +435,7 @@ class Tanh(Layer):
         self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
     ) -> np.ndarray:
         del training
-        if ws is None:
-            self._out = np.tanh(x)
-            return self._out
+        ws = ws or Workspace()
         out = ws.acquire(x.shape, x.dtype)
         np.tanh(x, out=out)
         self._out = out
@@ -500,9 +444,9 @@ class Tanh(Layer):
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward() called before forward()")
-        if ws is None or grad_out.dtype != self._out.dtype:
-            return grad_out * (1.0 - self._out**2)
-        t = ws.acquire(grad_out.shape, grad_out.dtype)
+        ws = ws or Workspace()
+        # grad * (1 - out**2)
+        t = ws.acquire(grad_out.shape, self._out.dtype)
         np.multiply(self._out, self._out, out=t)
         np.subtract(1.0, t, out=t)
         np.multiply(grad_out, t, out=grad_out)
@@ -539,13 +483,10 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
+        ws = ws or Workspace()
         keep = 1.0 - self.rate
-        if ws is None:
-            self._mask = ((self._rng.random(x.shape) < keep) / keep).astype(x.dtype)
-            return x * self._mask
-        # The draw stays float64 whatever the compute dtype so the RNG
-        # stream (and therefore the mask) matches the legacy path bit
-        # for bit.
+        # The draw stays float64 whatever the compute dtype, so the RNG
+        # stream (and therefore the mask) does not depend on the dtype.
         draw = ws.acquire(x.shape, np.float64)
         self._rng.random(out=draw)
         keep_mask = ws.acquire(x.shape, np.bool_)
@@ -556,17 +497,16 @@ class Dropout(Layer):
             mask = mask64
         else:
             mask = ws.acquire(x.shape, x.dtype)
-            np.copyto(mask, mask64)  # the same cast .astype performs
+            np.copyto(mask, mask64)  # the cast .astype performs
         self._mask = mask
         out = ws.acquire(x.shape, x.dtype)
         np.multiply(x, mask, out=out)
         return out
 
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
+        del ws
         if self._mask is None:
             return grad_out
-        if ws is None:
-            return grad_out * self._mask
         np.multiply(grad_out, self._mask, out=grad_out)
         return grad_out
 

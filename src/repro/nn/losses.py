@@ -3,15 +3,16 @@
 The paper trains every autoencoder by minimizing mean-squared-error; MAE
 is provided as an alternative for ablations.
 
-``value_ws``/``gradient_ws`` are the allocation-free twins of
-``value``/``gradient``: they run the same arithmetic through a reused
-residual buffer from a :class:`repro.nn.workspace.Workspace` instead of
-allocating intermediates, and return bit-identical results.  The
-gradient buffer they hand back lives in the workspace and is consumed
-(and mutated) by the backward pass of the same mini-batch step.
+``value`` and ``gradient`` run through a residual buffer acquired from a
+:class:`repro.nn.workspace.Workspace` (a throwaway one when the caller
+passes none) instead of allocating intermediates.  The gradient buffer
+they hand back lives in the workspace and is consumed (and mutated) by
+the backward pass of the same mini-batch step.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -21,53 +22,46 @@ from repro.nn.workspace import Workspace
 class Loss:
     """Base class: ``value`` returns the scalar loss, ``gradient`` dL/dy_pred."""
 
-    def value(self, y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    def value(
+        self, y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace] = None
+    ) -> float:
         raise NotImplementedError
 
-    def gradient(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+    def gradient(
+        self, y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace] = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
-    # Workspace-kernel twins; the default implementations fall back to
-    # the allocating path so custom losses keep working under the arena.
-    def value_ws(self, y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> float:
-        del ws
-        return self.value(y_true, y_pred)
-
-    def gradient_ws(self, y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> np.ndarray:
-        del ws
-        return self.gradient(y_true, y_pred)
+    @staticmethod
+    def _residual(
+        y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace]
+    ) -> np.ndarray:
+        """A scratch buffer of the operands' shape and common dtype."""
+        Loss._check(y_true, y_pred)
+        ws = ws or Workspace()
+        return ws.acquire(y_true.shape, np.result_type(y_true, y_pred))
 
     @staticmethod
     def _check(y_true: np.ndarray, y_pred: np.ndarray) -> None:
         if y_true.shape != y_pred.shape:
             raise ValueError(f"shape mismatch: y_true {y_true.shape} vs y_pred {y_pred.shape}")
 
-    @staticmethod
-    def _residual(y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> np.ndarray:
-        """A scratch buffer of the operands' common dtype."""
-        return ws.acquire(y_true.shape, np.result_type(y_true, y_pred))
-
 
 class MeanSquaredError(Loss):
     """MSE = mean over all elements of (y - y_hat)^2."""
 
-    def value(self, y_true: np.ndarray, y_pred: np.ndarray) -> float:
-        self._check(y_true, y_pred)
-        return float(np.mean((y_true - y_pred) ** 2))
-
-    def gradient(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-        self._check(y_true, y_pred)
-        return 2.0 * (y_pred - y_true) / y_true.size
-
-    def value_ws(self, y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> float:
-        self._check(y_true, y_pred)
+    def value(
+        self, y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace] = None
+    ) -> float:
         r = self._residual(y_true, y_pred, ws)
         np.subtract(y_true, y_pred, out=r)
-        np.multiply(r, r, out=r)  # (y - y_hat)**2, bit for bit
+        np.multiply(r, r, out=r)
         return float(np.mean(r))
 
-    def gradient_ws(self, y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> np.ndarray:
-        self._check(y_true, y_pred)
+    def gradient(
+        self, y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace] = None
+    ) -> np.ndarray:
+        # 2 * (y_hat - y) / size
         r = self._residual(y_true, y_pred, ws)
         np.subtract(y_pred, y_true, out=r)
         np.multiply(r, 2.0, out=r)
@@ -84,23 +78,18 @@ class MeanSquaredError(Loss):
 class MeanAbsoluteError(Loss):
     """MAE = mean over all elements of |y - y_hat|."""
 
-    def value(self, y_true: np.ndarray, y_pred: np.ndarray) -> float:
-        self._check(y_true, y_pred)
-        return float(np.mean(np.abs(y_true - y_pred)))
-
-    def gradient(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-        self._check(y_true, y_pred)
-        return np.sign(y_pred - y_true) / y_true.size
-
-    def value_ws(self, y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> float:
-        self._check(y_true, y_pred)
+    def value(
+        self, y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace] = None
+    ) -> float:
         r = self._residual(y_true, y_pred, ws)
         np.subtract(y_true, y_pred, out=r)
         np.abs(r, out=r)
         return float(np.mean(r))
 
-    def gradient_ws(self, y_true: np.ndarray, y_pred: np.ndarray, ws: Workspace) -> np.ndarray:
-        self._check(y_true, y_pred)
+    def gradient(
+        self, y_true: np.ndarray, y_pred: np.ndarray, ws: Optional[Workspace] = None
+    ) -> np.ndarray:
+        # sign(y_hat - y) / size
         r = self._residual(y_true, y_pred, ws)
         np.subtract(y_pred, y_true, out=r)
         np.sign(r, out=r)

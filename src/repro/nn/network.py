@@ -6,22 +6,13 @@ mini-batch, so e.g. compound-matrix views train without the pooled
 tensor ever being materialized.  Both paths draw the same RNG sequence
 and select the same rows, so they produce bit-identical weights.
 
-Execution paths
----------------
-
-``fit``/``predict`` run on one of two numerically identical paths:
-
-* the **legacy** allocating path -- every mini-batch gather, layer
-  output, gradient and optimizer temporary is a fresh array;
-* the **kernel** path -- the same arithmetic through ``out=`` kernels
-  over a :class:`repro.nn.workspace.Workspace` arena, which recycles
-  scratch buffers generation-by-generation so steady-state training
-  performs zero array allocation.
-
-Float64 results are bit-identical between the two (pinned by
-``tests/nn/test_kernel_equivalence``); the kernel path is on by default
-and controlled by ``use_workspace=`` / :func:`repro.nn.workspace.set_arena_enabled`
-/ the ``ACOBE_NN_ARENA`` environment variable.
+``fit`` and ``predict`` run every mini-batch gather, layer output,
+gradient and optimizer temporary through ``out=`` kernels over the
+network's :class:`repro.nn.workspace.Workspace` arena, which recycles
+scratch buffers generation-by-generation (one generation per
+mini-batch), so steady-state training performs zero array allocation.
+Float64 results are pinned bit for bit against a straight-line NumPy
+reference (``tests/nn/test_kernel_equivalence``).
 """
 
 from __future__ import annotations
@@ -36,7 +27,7 @@ from repro.nn.data import is_row_source
 from repro.nn.layers import Layer, Parameter
 from repro.nn.losses import Loss, get_loss
 from repro.nn.optimizers import Optimizer, get_optimizer
-from repro.nn.workspace import Workspace, resolve_arena
+from repro.nn.workspace import Workspace
 from repro.obs import get_telemetry
 
 
@@ -137,7 +128,7 @@ class Sequential:
     ) -> np.ndarray:
         """Run the full stack; ``training`` toggles BatchNorm/Dropout mode.
 
-        With ``ws``, layer outputs live in the arena and are only valid
+        With ``ws``, layer outputs live in that arena and are only valid
         until its next ``reset()`` -- copy anything that must survive.
         """
         x = np.asarray(x, dtype=self.dtype)
@@ -155,41 +146,23 @@ class Sequential:
             grad = layer.backward(grad, ws=ws)
         return grad
 
-    def predict(
-        self,
-        x: np.ndarray,
-        batch_size: int = 1024,
-        use_workspace: Optional[bool] = None,
-    ) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
         """Inference-mode forward pass in batches.
 
-        On the kernel path each chunk runs through the arena and is
-        copied into one preallocated output array (instead of a Python
-        list of per-chunk arrays joined by ``np.concatenate``); results
-        are bit-identical either way.
+        Each chunk runs through the arena and is copied into one output
+        array, so the result outlives the arena's next generation.
         """
         x = np.asarray(x, dtype=self.dtype)
-        if self.built and resolve_arena(use_workspace):
-            if x.ndim != 2:
-                raise ValueError(f"expected a 2-D batch, got shape {x.shape}")
-            if x.shape[1] != self.input_dim:
-                raise ValueError(f"expected input dim {self.input_dim}, got {x.shape[1]}")
-            ws = self.workspace
-            out = np.empty((x.shape[0], self.output_dim), dtype=self.dtype)
-            for start in range(0, x.shape[0], batch_size):
-                ws.reset()
-                h = x[start : start + batch_size]
-                for layer in self.layers:
-                    h = layer.forward(h, training=False, ws=ws)
-                out[start : start + h.shape[0]] = h
-            return out
-        if x.shape[0] <= batch_size:
-            return self.forward(x, training=False)
-        chunks = [
-            self.forward(x[i : i + batch_size], training=False)
-            for i in range(0, x.shape[0], batch_size)
-        ]
-        return np.concatenate(chunks, axis=0)
+        ws = self.workspace
+        out = None
+        # An empty input still runs one (empty) chunk to learn the width.
+        for start in range(0, x.shape[0], batch_size) or [0]:
+            ws.reset()
+            h = self.forward(x[start : start + batch_size], training=False, ws=ws)
+            if out is None:
+                out = np.empty((x.shape[0], h.shape[1]), dtype=h.dtype)
+            out[start : start + h.shape[0]] = h
+        return out
 
     # ------------------------------------------------------------------
     # training
@@ -208,7 +181,6 @@ class Sequential:
         min_delta: float = 0.0,
         verbose: bool = False,
         callbacks: Optional[Sequence] = None,
-        use_workspace: Optional[bool] = None,
     ) -> TrainingHistory:
         """Train with mini-batch gradient descent.
 
@@ -235,10 +207,6 @@ class Sequential:
             callbacks: objects implementing (a subset of) the callback
                 protocol in :mod:`repro.nn.callbacks`; they observe
                 training without affecting its numerics.
-            use_workspace: force the arena kernel path on/off for this
-                fit; ``None`` defers to the process default
-                (:func:`repro.nn.workspace.arena_enabled`).  Float64
-                training is bit-identical either way.
 
         Returns:
             A :class:`TrainingHistory` with per-epoch losses.
@@ -253,9 +221,9 @@ class Sequential:
                 return xb, xb
 
             # Row sources gather through arbitrary Python objects, so the
-            # mini-batch fetch itself stays allocating even on the kernel
-            # path (layers/loss/optimizer still run through the arena).
-            def fetch_kernel(sel: np.ndarray, ws: Workspace):
+            # mini-batch fetch itself stays allocating (layers, loss and
+            # optimizer still run through the arena).
+            def fetch_batch(sel: np.ndarray, ws: Workspace):
                 return fetch(train_idx[sel])
 
         else:
@@ -268,7 +236,7 @@ class Sequential:
             def fetch(idx: np.ndarray):
                 return x[idx], y[idx]
 
-            def fetch_kernel(sel: np.ndarray, ws: Workspace):
+            def fetch_batch(sel: np.ndarray, ws: Workspace):
                 # Compose train_idx[order[...]] and the row gather through
                 # np.take(..., out=) -- bit-identical to fancy indexing.
                 idx = ws.acquire(sel.shape, train_idx.dtype)
@@ -290,7 +258,7 @@ class Sequential:
 
         loss_fn = get_loss(loss) if isinstance(loss, str) else loss
         opt = get_optimizer(optimizer) if isinstance(optimizer, str) else optimizer
-        ws = self.workspace if resolve_arena(use_workspace) else None
+        ws = self.workspace
 
         n_val = int(round(n_total * validation_split))
         if n_val > 0:
@@ -314,7 +282,7 @@ class Sequential:
         if verbose:
             callback_list.callbacks.append(EpochLogger())
         telemetry = get_telemetry()
-        arena_before = ws.stats() if ws is not None else None
+        arena_before = ws.stats()
 
         with telemetry.span(
             "nn.fit", samples=int(n), input_dim=int(width), batch_size=batch_size
@@ -327,29 +295,19 @@ class Sequential:
                 epoch_loss = 0.0
                 for start in range(0, n, batch_size):
                     sel = order[start : start + batch_size]
-                    if ws is None:
-                        idx = train_idx[sel]
-                        xb, yb = fetch(idx)
-                        pred = self.forward(xb, training=True)
-                        epoch_loss += loss_fn.value(yb, pred) * len(idx)
-                        self.backward(loss_fn.gradient(yb, pred))
-                        opt.step(params)
-                    else:
-                        # Kernel step: one generation of arena buffers per
-                        # mini-batch; same ops in the same order as above,
-                        # routed through out= kernels (asarray/shape checks
-                        # skipped -- the gather already produced a 2-D
-                        # batch of self.dtype).
-                        ws.reset()
-                        xb, yb = fetch_kernel(sel, ws)
-                        pred = xb
-                        for layer in self.layers:
-                            pred = layer.forward(pred, training=True, ws=ws)
-                        epoch_loss += loss_fn.value_ws(yb, pred, ws) * sel.shape[0]
-                        grad = loss_fn.gradient_ws(yb, pred, ws)
-                        for layer in reversed(self.layers):
-                            grad = layer.backward(grad, ws=ws)
-                        opt.step(params, ws=ws)
+                    # One generation of arena buffers per mini-batch
+                    # (asarray/shape checks skipped -- the gather already
+                    # produced a 2-D batch of self.dtype).
+                    ws.reset()
+                    xb, yb = fetch_batch(sel, ws)
+                    pred = xb
+                    for layer in self.layers:
+                        pred = layer.forward(pred, training=True, ws=ws)
+                    epoch_loss += loss_fn.value(yb, pred, ws) * sel.shape[0]
+                    grad = loss_fn.gradient(yb, pred, ws)
+                    for layer in reversed(self.layers):
+                        grad = layer.backward(grad, ws=ws)
+                    opt.step(params, ws=ws)
                     n_batches += 1
                 epoch_loss /= n
                 history.loss.append(epoch_loss)
@@ -362,7 +320,7 @@ class Sequential:
                 history.grad_norm.append(grad_norm)
 
                 if x_val is not None:
-                    val_pred = self.predict(x_val, use_workspace=use_workspace)
+                    val_pred = self.predict(x_val)
                     val_loss = loss_fn.value(y_val, val_pred)
                     history.val_loss.append(val_loss)
                     monitor = val_loss
@@ -396,11 +354,10 @@ class Sequential:
         telemetry.counter("nn.epochs_total").inc(history.epochs_trained)
         telemetry.counter("nn.batches_total").inc(n_batches)
         telemetry.counter("nn.fits_total").inc()
-        if ws is not None:
-            arena_after = ws.stats()
-            telemetry.counter("nn.arena.hits").inc(arena_after.hits - arena_before.hits)
-            telemetry.counter("nn.arena.misses").inc(arena_after.misses - arena_before.misses)
-            telemetry.gauge("nn.arena.peak_bytes").set(arena_after.peak_bytes)
+        arena_after = ws.stats()
+        telemetry.counter("nn.arena.hits").inc(arena_after.hits - arena_before.hits)
+        telemetry.counter("nn.arena.misses").inc(arena_after.misses - arena_before.misses)
+        telemetry.gauge("nn.arena.peak_bytes").set(arena_after.peak_bytes)
         return history
 
     def evaluate(self, x: np.ndarray, y: Optional[np.ndarray] = None, loss: Union[str, Loss] = "mse") -> float:

@@ -6,13 +6,13 @@ ablations and tests.  Each optimizer keeps per-parameter state keyed by
 fixed set of parameters for the whole training run (which is what
 :class:`repro.nn.network.Sequential` does).
 
-:meth:`Optimizer.step` accepts an optional
-:class:`repro.nn.workspace.Workspace`.  With one, each update runs the
-same arithmetic through in-place ``out=`` kernels over recycled scratch
-buffers -- state arrays are allocated once per parameter and mutated in
-place, and no per-parameter temporaries are created after the first
-step.  Updates are bit-identical to the allocating path (same ops, same
-order, same dtypes); only the allocation behaviour differs.
+:meth:`Optimizer.step` runs every update through in-place ``out=``
+kernels over scratch buffers from a :class:`repro.nn.workspace.Workspace`
+(a throwaway one when the caller passes none): state arrays are
+allocated once per parameter and mutated in place, and with a reused
+workspace no per-parameter temporaries are created after the first
+step.  Gradients must have their parameter's dtype; a float32 network
+updates entirely in float32.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ def _state_array(state: dict, key: str, param: Parameter) -> np.ndarray:
 
 
 class Optimizer:
-    """Base class; subclasses implement ``_update_one`` (and optionally
-    ``_update_one_ws`` for the allocation-free kernel path)."""
+    """Base class; subclasses implement ``_update_one``."""
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
@@ -50,35 +49,26 @@ class Optimizer:
         self.iterations = 0
 
     def step(self, parameters: Iterable[Parameter], ws: Optional[Workspace] = None) -> None:
-        """Apply one update to every parameter using its current ``grad``."""
+        """Apply one update to every parameter using its current ``grad``.
+
+        Raises:
+            TypeError: a gradient's dtype differs from its parameter's.
+        """
+        ws = ws or Workspace()
         self.iterations += 1
-        if ws is None:
-            for param in parameters:
-                state = self._state.get(id(param))
-                if state is None:
-                    state = self._state[id(param)] = {}
-                self._update_one(param, state)
-        else:
-            for param in parameters:
-                state = self._state.get(id(param))
-                if state is None:
-                    state = self._state[id(param)] = {}
-                if param.grad.dtype == param.value.dtype:
-                    self._update_one_ws(param, state, ws)
-                else:
-                    # Promoted gradient (float32 param, float64 grad):
-                    # the legacy expressions pick per-op dtypes that out=
-                    # scratch buffers of one dtype cannot reproduce.
-                    self._update_one(param, state)
+        for param in parameters:
+            if param.grad.dtype != param.value.dtype:
+                raise TypeError(
+                    f"gradient of {param.name!r} is {param.grad.dtype}, "
+                    f"parameter is {param.value.dtype}"
+                )
+            state = self._state.get(id(param))
+            if state is None:
+                state = self._state[id(param)] = {}
+            self._update_one(param, state, ws)
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         raise NotImplementedError
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        """Workspace-kernel update; defaults to the allocating update so
-        third-party subclasses keep working on the arena path."""
-        del ws
-        self._update_one(param, state)
 
 
 class SGD(Optimizer):
@@ -87,12 +77,9 @@ class SGD(Optimizer):
     def __init__(self, learning_rate: float = 0.01):
         super().__init__(learning_rate)
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         del state
-        param.value -= self.learning_rate * param.grad
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
-        del state
+        # value -= lr * grad
         t = ws.acquire(param.grad.shape, param.grad.dtype)
         np.multiply(param.grad, self.learning_rate, out=t)
         param.value -= t
@@ -107,13 +94,8 @@ class Momentum(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        velocity = _state_array(state, "velocity", param)
-        velocity *= self.momentum
-        velocity -= self.learning_rate * param.grad
-        param.value += velocity
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
+        # velocity = momentum * velocity - lr * grad; value += velocity
         velocity = _state_array(state, "velocity", param)
         t = ws.acquire(param.grad.shape, param.grad.dtype)
         velocity *= self.momentum
@@ -130,13 +112,9 @@ class RMSProp(Optimizer):
         self.rho = rho
         self.epsilon = epsilon
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        acc = _state_array(state, "acc", param)
-        acc *= self.rho
-        acc += (1.0 - self.rho) * param.grad**2
-        param.value -= self.learning_rate * param.grad / (np.sqrt(acc) + self.epsilon)
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
+        # acc = rho * acc + (1 - rho) * grad**2
+        # value -= lr * grad / (sqrt(acc) + eps)
         acc = _state_array(state, "acc", param)
         g = param.grad
         t1 = ws.acquire(g.shape, g.dtype)
@@ -169,24 +147,13 @@ class Adadelta(Optimizer):
         self.rho = rho
         self.epsilon = epsilon
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        acc_grad = _state_array(state, "acc_grad", param)
-        acc_delta = _state_array(state, "acc_delta", param)
-        acc_grad *= self.rho
-        acc_grad += (1.0 - self.rho) * param.grad**2
-        update = (
-            np.sqrt(acc_delta + self.epsilon) / np.sqrt(acc_grad + self.epsilon) * param.grad
-        )
-        acc_delta *= self.rho
-        acc_delta += (1.0 - self.rho) * update**2
-        param.value -= self.learning_rate * update
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
         acc_grad = _state_array(state, "acc_grad", param)
         acc_delta = _state_array(state, "acc_delta", param)
         g = param.grad
         t1 = ws.acquire(g.shape, g.dtype)
         t2 = ws.acquire(g.shape, g.dtype)
+        # acc_grad = rho * acc_grad + (1 - rho) * grad**2
         acc_grad *= self.rho
         np.multiply(g, g, out=t1)
         np.multiply(t1, 1.0 - self.rho, out=t1)
@@ -198,6 +165,7 @@ class Adadelta(Optimizer):
         np.sqrt(t2, out=t2)
         np.divide(t1, t2, out=t1)
         np.multiply(t1, g, out=t1)
+        # acc_delta = rho * acc_delta + (1 - rho) * update**2; value -= lr * update
         acc_delta *= self.rho
         np.multiply(t1, t1, out=t2)
         np.multiply(t2, 1.0 - self.rho, out=t2)
@@ -221,19 +189,9 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
 
-    def _update_one(self, param: Parameter, state: dict) -> None:
-        m = _state_array(state, "m", param)
-        v = _state_array(state, "v", param)
-        t = state["t"] = state.get("t", 0) + 1
-        m *= self.beta1
-        m += (1.0 - self.beta1) * param.grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * param.grad**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    def _update_one_ws(self, param: Parameter, state: dict, ws: Workspace) -> None:
+    def _update_one(self, param: Parameter, state: dict, ws: Workspace) -> None:
+        # m, v = moving averages of grad and grad**2;
+        # value -= lr * m_hat / (sqrt(v_hat) + eps)
         m = _state_array(state, "m", param)
         v = _state_array(state, "v", param)
         t = state["t"] = state.get("t", 0) + 1

@@ -33,15 +33,6 @@ Workers inherit the parent's ``run_id`` and continue its trace
 one ``trace_id`` grep in a structured log (:mod:`repro.obs.log`)
 reconstructs a fan-out across processes.
 
-Workers inherit the arena (allocation-free kernel path) settings the
-same way: the process default -- :func:`repro.nn.workspace.set_arena_enabled`
-or the ``ACOBE_NN_ARENA`` environment variable -- crosses the ``fork``
-boundary with the process image, and an explicit per-config choice
-(``AutoencoderConfig.arena``) travels inside each :class:`AspectTask`.
-Since the kernel path is bit-identical to the allocating path, this is
-a performance setting only; it can never make parallel results diverge
-from serial ones.
-
 Platforms without the ``fork`` start method (and sandboxes where
 process pools cannot be created at all) silently fall back to the
 same-process serial path, which is result-identical by construction.

@@ -1,11 +1,11 @@
-"""Buffer arena for the allocation-free nn kernel path.
+"""Buffer arena for the nn kernels.
 
 Mini-batch training spends its life in a loop whose array shapes repeat
 batch after batch: activations ``(batch, units)``, gradients of the same
-shapes, optimizer scratch of each parameter's shape.  The legacy
-implementation allocates fresh arrays for every one of those
-intermediates -- thousands of short-lived allocations per epoch, most of
-them large enough that the allocator hands back cold, unmapped pages.
+shapes, optimizer scratch of each parameter's shape.  Allocating fresh
+arrays for every one of those intermediates would mean thousands of
+short-lived allocations per epoch, most of them large enough that the
+allocator hands back cold, unmapped pages.
 
 :class:`Workspace` removes that churn.  It is a per-``(shape, dtype)``
 scratch pool with *generation* semantics:
@@ -19,9 +19,7 @@ scratch pool with *generation* semantics:
 The first step of a training run allocates the full working set
 (misses); every later step of the same batch shape runs at 100% hits
 with **zero** array allocation.  Buffer contents are *not* cleared --
-kernel call sites fully overwrite them through ``out=`` parameters,
-which is what keeps the arena path bit-identical to the allocating
-path.
+kernel call sites fully overwrite them through ``out=`` parameters.
 
 The pool never hands the same buffer to two different call sites in one
 generation, so the usual ufunc aliasing rules are all a kernel needs to
@@ -32,79 +30,16 @@ live bytes and peak bytes, and :meth:`Workspace.publish` folds those
 into a :mod:`repro.obs`-style counter interface without importing it
 (this module sits *below* every other nn module -- see
 ``tools/check_layering.py``).
-
-Enabling the arena
-------------------
-
-The kernel path is on by default.  Three levels of control, most
-specific wins:
-
-* per-call: ``Sequential.fit(..., use_workspace=True/False)`` or
-  ``AutoencoderConfig(arena=True/False)``;
-* per-process: :func:`set_arena_enabled` (``None`` restores the default);
-* environment: ``ACOBE_NN_ARENA=0`` disables it for every process that
-  inherits the variable (worker processes forked by
-  :mod:`repro.nn.parallel` therefore inherit the setting).
-
-Every level is numerically irrelevant -- float64 results are
-bit-identical either way (pinned by ``tests/nn/test_kernel_equivalence``)
--- so the switch exists only for A/B benchmarking and as an escape
-hatch.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = [
-    "Workspace",
-    "WorkspaceStats",
-    "arena_enabled",
-    "resolve_arena",
-    "set_arena_enabled",
-]
-
-_ENV_VAR = "ACOBE_NN_ARENA"
-_FALSEY = ("0", "off", "false", "no")
-
-#: process-wide override installed by :func:`set_arena_enabled`.
-_GLOBAL_OVERRIDE: Optional[bool] = None
-
-
-def arena_enabled() -> bool:
-    """The process-level arena default (override, else environment, else on)."""
-    if _GLOBAL_OVERRIDE is not None:
-        return _GLOBAL_OVERRIDE
-    value = os.environ.get(_ENV_VAR)
-    if value is not None and value.strip().lower() in _FALSEY:
-        return False
-    return True
-
-
-def set_arena_enabled(enabled: Optional[bool]) -> Optional[bool]:
-    """Install (or with ``None`` clear) the process-wide arena override.
-
-    Returns the previous override so tests can restore it.  Worker
-    processes forked by :mod:`repro.nn.parallel` inherit the override
-    through ``fork``; explicit per-config settings
-    (``AutoencoderConfig.arena``) travel inside the task and win over
-    this either way.
-    """
-    global _GLOBAL_OVERRIDE
-    previous = _GLOBAL_OVERRIDE
-    _GLOBAL_OVERRIDE = enabled
-    return previous
-
-
-def resolve_arena(explicit: Optional[bool]) -> bool:
-    """An effective on/off decision: explicit setting wins, else the default."""
-    if explicit is not None:
-        return bool(explicit)
-    return arena_enabled()
+__all__ = ["Workspace", "WorkspaceStats"]
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,25 @@ class TestValidation:
         sharded = replace(fitted.config, n_shards=4)
         assert config_digest(sharded) == config_digest(fitted.config)
 
+    @pytest.mark.parametrize(
+        "autoencoder,digest",
+        [
+            (
+                AutoencoderConfig(),
+                "b8ac57b17205e65b2fe2ceeb7057a8f38c8ed8641d6ed3fca1d7373beb8d1b04",
+            ),
+            (
+                AutoencoderConfig(dtype="float32"),
+                "bb31349152fe167f9aa54ea4250f088c0ff3f125b26cf6541346ffa2624b4ec6",
+            ),
+        ],
+        ids=["float64", "float32"],
+    )
+    def test_config_digest_is_pinned(self, autoencoder, digest):
+        # Literal digests of already written checkpoints: any change to
+        # the config fields or the digest recipe would orphan them.
+        assert config_digest(ModelConfig(autoencoder=autoencoder)) == digest
+
 
 def write_v1_checkpoint(directory, stream):
     """Hand-write the legacy single-slab (version 1) checkpoint layout."""

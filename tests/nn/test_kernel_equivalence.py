@@ -1,13 +1,15 @@
-"""Bit-identity of the arena kernel path vs the legacy allocating path.
+"""Bit-identity of the workspace kernels vs a straight-line reference.
 
-The tentpole guarantee of the workspace arena (repro.nn.workspace) is
-that it changes *allocation only*: in float64, training and scoring on
-the kernel path produce bit-for-bit the same weights, histories and
-predictions as the legacy path.  These tests pin that guarantee --
-property-based over random architectures, batch sizes and
-early-stopping cuts -- plus a gradcheck matrix over every layer x
-optimizer combination in both dtypes, and a detection-quality tolerance
-test for the (explicitly non-bit-identical) float32 mode.
+The library's layers, losses and optimizers run through ``out=`` kernels
+over a recycled buffer arena (repro.nn.workspace).  The buffer reuse
+must change *allocation only*: in float64, training and scoring produce
+bit-for-bit the same weights, histories and predictions as the plain
+allocating NumPy expressions frozen in ``tests/nn/reference.py``.  These
+tests pin that guarantee -- property-based over random architectures,
+batch sizes and early-stopping cuts -- plus a gradcheck matrix over
+every layer x optimizer combination in both dtypes, dtype-stability of
+float32 training, and a detection-quality tolerance test for the
+(explicitly non-bit-identical) float32 mode.
 """
 
 import numpy as np
@@ -31,8 +33,10 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.network import Sequential
-from repro.nn.optimizers import get_optimizer
+from repro.nn.optimizers import Adam, get_optimizer
 from repro.nn.workspace import Workspace
+
+from . import reference
 
 RNG = np.random.default_rng(11)
 
@@ -60,18 +64,24 @@ def _make_net(units, activation, batch_norm, dropout, seed, dtype, out_dim):
     return Sequential(layers, seed=seed, dtype=dtype)
 
 
-def _histories_equal(a, b):
-    return a.loss == b.loss and a.val_loss == b.val_loss and a.grad_norm == b.grad_norm
+def _built(net, width):
+    """``net`` built for ``width`` inputs plus its reference mirror."""
+    net.build(width)
+    return net, reference.ReferenceNet(net)
 
 
-def _params_identical(a, b):
-    pa, pb = a.parameters(), b.parameters()
+def _histories_equal(history, ref_history):
+    return (history.loss, history.val_loss, history.grad_norm) == tuple(ref_history)
+
+
+def _params_identical(net, ref):
+    pa, pb = net.parameters(), ref.params()
     assert len(pa) == len(pb)
     return all(np.array_equal(p.value, q.value) for p, q in zip(pa, pb))
 
 
 class TestTrainingBitIdentity:
-    """Arena-path float64 training == legacy-path training, bit for bit."""
+    """Float64 training == the reference's training, bit for bit."""
 
     @given(
         n_samples=st.integers(min_value=12, max_value=60),
@@ -109,58 +119,54 @@ class TestTrainingBitIdentity:
             validation_split=validation_split,
             early_stopping_patience=patience,
         )
-        legacy = _make_net(units, activation, batch_norm, dropout, seed, "float64", width)
-        h_legacy = legacy.fit(data, use_workspace=False, **kwargs)
-        kernel = _make_net(units, activation, batch_norm, dropout, seed, "float64", width)
-        h_kernel = kernel.fit(data, use_workspace=True, **kwargs)
-
-        assert _histories_equal(h_legacy, h_kernel)
-        assert _params_identical(legacy, kernel)
-        probe = np.random.default_rng(seed + 1).random((7, width))
-        assert np.array_equal(
-            legacy.predict(probe, use_workspace=False),
-            kernel.predict(probe, use_workspace=True),
+        net, ref = _built(
+            _make_net(units, activation, batch_norm, dropout, seed, "float64", width), width
         )
+        history = net.fit(data, **kwargs)
+        ref_history = ref.fit(data, **kwargs)
+
+        assert _histories_equal(history, ref_history)
+        assert _params_identical(net, ref)
+        probe = np.random.default_rng(seed + 1).random((7, width))
+        assert np.array_equal(net.predict(probe), ref.predict(probe))
 
     def test_row_source_training_matches_dense(self):
         data = RNG.random((40, 6))
-        a = _make_net([5], "relu", True, False, 3, "float64", 6)
-        a.fit(data, epochs=2, batch_size=8, use_workspace=True)
-        b = _make_net([5], "relu", True, False, 3, "float64", 6)
-        b.fit(ArrayRowSource(data), epochs=2, batch_size=8, use_workspace=True)
-        assert _params_identical(a, b)
+        net, ref = _built(_make_net([5], "relu", True, False, 3, "float64", 6), 6)
+        net.fit(ArrayRowSource(data), epochs=2, batch_size=8)
+        ref.fit(data, epochs=2, batch_size=8)
+        assert _params_identical(net, ref)
 
     def test_distinct_xy_targets(self):
         x = RNG.random((30, 5))
         y = RNG.random((30, 4))
-        a = _make_net([4], "tanh", False, False, 9, "float64", 4)
-        ha = a.fit(x, y, epochs=3, batch_size=7, use_workspace=False)
-        b = _make_net([4], "tanh", False, False, 9, "float64", 4)
-        hb = b.fit(x, y, epochs=3, batch_size=7, use_workspace=True)
-        assert _histories_equal(ha, hb)
-        assert _params_identical(a, b)
+        net, ref = _built(_make_net([4], "tanh", False, False, 9, "float64", 4), 5)
+        history = net.fit(x, y, epochs=3, batch_size=7)
+        ref_history = ref.fit(x, y, epochs=3, batch_size=7)
+        assert _histories_equal(history, ref_history)
+        assert _params_identical(net, ref)
 
     def test_predict_chunked_output_is_identical(self):
-        net = _make_net([6, 4], "sigmoid", True, False, 1, "float64", 8)
+        net, ref = _built(_make_net([6, 4], "sigmoid", True, False, 1, "float64", 8), 8)
         data = RNG.random((50, 8))
         net.fit(data, epochs=1, batch_size=16)
+        ref.fit(data, epochs=1, batch_size=16)
         probe = RNG.random((33, 8))
         assert np.array_equal(
-            net.predict(probe, batch_size=10, use_workspace=True),
-            net.predict(probe, batch_size=10, use_workspace=False),
+            net.predict(probe, batch_size=10), ref.predict(probe, batch_size=10)
         )
         # Chunk size must not affect the result either.
         assert np.array_equal(
-            net.predict(probe, batch_size=7, use_workspace=True),
-            net.predict(probe, batch_size=1024, use_workspace=True),
+            net.predict(probe, batch_size=7), net.predict(probe, batch_size=1024)
         )
+        assert net.predict(probe[:0]).shape == (0, 8)
 
     def test_workspace_reuses_buffers_across_steps(self):
         net = _make_net([6, 4], "relu", True, True, 2, "float64", 8)
         data = RNG.random((64, 8))
-        net.fit(data, epochs=1, batch_size=16, use_workspace=True)
+        net.fit(data, epochs=1, batch_size=16)
         after_first = net.workspace.stats()
-        net.fit(data, epochs=2, batch_size=16, use_workspace=True)
+        net.fit(data, epochs=2, batch_size=16)
         after_more = net.workspace.stats()
         # Steady state: further epochs allocate nothing new.
         assert after_more.misses == after_first.misses
@@ -174,16 +180,33 @@ class TestFloat32Mode:
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_kernel_path_tracks_legacy_path(self, optimizer):
         data = RNG.random((48, 10))
-        a = _make_net([8, 6], "relu", True, False, 4, "float32", 10)
-        ha = a.fit(data, epochs=3, batch_size=8, optimizer=optimizer, use_workspace=False)
-        b = _make_net([8, 6], "relu", True, False, 4, "float32", 10)
-        hb = b.fit(data, epochs=3, batch_size=8, optimizer=optimizer, use_workspace=True)
-        # Same ops, same order: float32 kernels agree with float32 legacy
-        # closely (often exactly); the tolerance guards rounding-mode
-        # differences on exotic BLAS builds.
-        for p, q in zip(a.parameters(), b.parameters()):
+        net, ref = _built(_make_net([8, 6], "relu", True, False, 4, "float32", 10), 10)
+        history = net.fit(data, epochs=3, batch_size=8, optimizer=optimizer)
+        ref_loss, _, _ = ref.fit(data, epochs=3, batch_size=8, optimizer=optimizer)
+        # Same ops, same order: float32 kernels agree with the float32
+        # reference closely (often exactly); the tolerance guards
+        # rounding-mode differences on exotic BLAS builds.
+        for p, q in zip(net.parameters(), ref.params()):
             np.testing.assert_allclose(p.value, q.value, rtol=1e-5, atol=1e-6)
-        assert hb.loss == pytest.approx(ha.loss, rel=1e-4)
+        assert history.loss == pytest.approx(ref_loss, rel=1e-4)
+
+    def test_leaky_relu_training_stays_float32(self):
+        """No parameter, gradient or optimizer state promotes to float64."""
+        data = RNG.random((40, 6))
+        net = _make_net([5, 4], "leaky_relu", True, False, 2, "float32", 6)
+        opt = Adam()
+        net.fit(data, epochs=2, batch_size=8, optimizer=opt)
+        arrays = [a for p in net.parameters() for a in (p.value, p.grad)]
+        arrays += [a for state in opt._state.values() for a in state.values()
+                   if isinstance(a, np.ndarray)]
+        assert arrays and {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    def test_optimizer_rejects_mismatched_gradient_dtype(self):
+        layer = Dense(3)
+        layer.build(4, np.random.default_rng(0), dtype=np.float32)
+        layer.weight.grad = np.zeros((4, 3))  # float64 gradient, float32 weight
+        with pytest.raises(TypeError, match="weight"):
+            Adam().step([layer.weight])
 
     def test_float32_close_to_float64(self):
         data = RNG.random((48, 10))
@@ -218,7 +241,7 @@ class TestFloat32Mode:
 
 
 class TestGradcheckMatrix:
-    """Kernel-path gradients are correct for every layer, both dtypes."""
+    """Kernel gradients are correct for every layer, both dtypes."""
 
     LAYER_FACTORIES = {
         "dense": lambda: Dense(5),
@@ -243,72 +266,67 @@ class TestGradcheckMatrix:
             layer.beta.value = layer.beta.value + np.asarray(0.7, layer.beta.value.dtype)
         # Keep ReLU-family inputs away from the kink at 0.
         x = rng.uniform(0.2, 0.9, size=(6, 4))
-        ws = Workspace()
-        err = check_layer_input_gradient(layer, x, ws=ws)
+        err = check_layer_input_gradient(layer, x)
         assert err < 1e-5, f"{name}/{dtype}: input gradient error {err}"
         # Parameter perturbations happen in the parameter's own dtype, so
         # float32 needs a coarser step (1e-6 is below float32 resolution)
         # and a correspondingly looser tolerance.
         eps, tol = (1e-6, 1e-5) if dtype == "float64" else (1e-3, 1e-2)
-        param_errors = check_layer_param_gradients(layer, x, ws=ws, eps=eps)
+        param_errors = check_layer_param_gradients(layer, x, eps=eps)
         for pname, perr in param_errors.items():
             assert perr < tol, f"{name}/{dtype}/{pname}: gradient error {perr}"
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_optimizer_kernels_match_legacy(self, optimizer, dtype):
-        """Each optimizer's in-place kernel reproduces its legacy update."""
-
-        def run(use_ws):
-            opt = get_optimizer(optimizer)
-            layer = Dense(3)
-            layer.build(4, np.random.default_rng(7), dtype=np.dtype(dtype))
-            ws = Workspace() if use_ws else None
-            for step in range(5):
-                g = np.random.default_rng(100 + step).normal(size=(4, 3))
-                layer.weight.grad[...] = g.astype(layer.weight.grad.dtype)
-                layer.bias.grad[...] = g[0].astype(layer.bias.grad.dtype)
-                if ws is not None:
-                    ws.reset()
-                opt.step([layer.weight, layer.bias], ws=ws)
-            return layer
-
-        legacy = run(False)
-        kernel = run(True)
-        assert np.array_equal(legacy.weight.value, kernel.weight.value)
-        assert np.array_equal(legacy.bias.value, kernel.bias.value)
+        """Each optimizer's in-place kernel reproduces the reference update."""
+        layer = Dense(3)
+        layer.build(4, np.random.default_rng(7), dtype=np.dtype(dtype))
+        params = [layer.weight, layer.bias]
+        ref_params = reference.mirror(layer).params()
+        opt = get_optimizer(optimizer)
+        ref_opt = reference.OPTIMIZERS[optimizer]()
+        ws = Workspace()
+        for step in range(5):
+            g = np.random.default_rng(100 + step).normal(size=(4, 3))
+            for p in params + ref_params:
+                p.grad = (g if p.value.ndim == 2 else g[0]).astype(p.value.dtype)
+            ws.reset()
+            opt.step(params, ws=ws)
+            ref_opt.step(ref_params)
+        for p, q in zip(params, ref_params):
+            assert np.array_equal(p.value, q.value)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_layer_optimizer_cross_bit_identity(self, activation, optimizer):
         """Every activation x optimizer combination trains bit-identically
-        on the kernel path (with BatchNorm and Dropout in the stack)."""
+        to the reference (with BatchNorm and Dropout in the stack)."""
         data = np.random.default_rng(41).random((24, 5))
         kwargs = dict(epochs=2, batch_size=6, optimizer=optimizer)
-        a = _make_net([4], activation, True, True, 8, "float64", 5)
-        ha = a.fit(data, use_workspace=False, **kwargs)
-        b = _make_net([4], activation, True, True, 8, "float64", 5)
-        hb = b.fit(data, use_workspace=True, **kwargs)
-        assert _histories_equal(ha, hb)
-        assert _params_identical(a, b)
+        net, ref = _built(_make_net([4], activation, True, True, 8, "float64", 5), 5)
+        history = net.fit(data, **kwargs)
+        ref_history = ref.fit(data, **kwargs)
+        assert _histories_equal(history, ref_history)
+        assert _params_identical(net, ref)
 
     def test_dropout_gradient_kernel_path(self):
-        # Dropout is stochastic: compare kernel backward against the
-        # legacy backward under the same mask (same RNG seed).
+        # Dropout is stochastic: compare the kernel backward against the
+        # reference backward under the same mask (same RNG state).
         x = RNG.uniform(0.2, 0.9, size=(6, 4))
         grad = RNG.normal(size=(6, 4))
 
-        legacy = Dropout(0.3, seed=5)
-        out_legacy = legacy.forward(x, training=True)
-        g_legacy = legacy.backward(grad.copy())
-
         kernel = Dropout(0.3, seed=5)
+        ref = reference.mirror(kernel)
+        out_ref = ref.forward(x, training=True)
+        g_ref = ref.backward(grad.copy())
+
         ws = Workspace()
         out_kernel = kernel.forward(x, training=True, ws=ws)
         g_kernel = kernel.backward(grad.copy(), ws=ws)
 
-        assert np.array_equal(out_legacy, out_kernel)
-        assert np.array_equal(g_legacy, g_kernel)
+        assert np.array_equal(out_ref, out_kernel)
+        assert np.array_equal(g_ref, g_kernel)
 
 
 class TestParameterDtype:

@@ -1,24 +1,9 @@
 """Unit tests for the repro.nn.workspace buffer arena."""
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.nn.workspace import (
-    Workspace,
-    arena_enabled,
-    resolve_arena,
-    set_arena_enabled,
-)
-
-
-@pytest.fixture(autouse=True)
-def _clean_arena_state(monkeypatch):
-    monkeypatch.delenv("ACOBE_NN_ARENA", raising=False)
-    previous = set_arena_enabled(None)
-    yield
-    set_arena_enabled(previous)
+from repro.nn.workspace import Workspace
 
 
 class TestAcquire:
@@ -128,41 +113,3 @@ class TestStats:
         assert telemetry.metrics["nn.arena.peak_bytes"].value == 32
         assert telemetry.metrics["nn.arena.buffers"].value == 1
 
-
-class TestEnablement:
-    def test_default_on(self):
-        assert arena_enabled() is True
-        assert resolve_arena(None) is True
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_env_disables(self, value):
-        os.environ["ACOBE_NN_ARENA"] = value
-        try:
-            assert arena_enabled() is False
-        finally:
-            del os.environ["ACOBE_NN_ARENA"]
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-    def test_env_other_values_keep_default(self, value):
-        os.environ["ACOBE_NN_ARENA"] = value
-        try:
-            assert arena_enabled() is True
-        finally:
-            del os.environ["ACOBE_NN_ARENA"]
-
-    def test_global_override_beats_env(self):
-        os.environ["ACOBE_NN_ARENA"] = "0"
-        try:
-            previous = set_arena_enabled(True)
-            assert previous is None
-            assert arena_enabled() is True
-            assert set_arena_enabled(None) is True
-            assert arena_enabled() is False
-        finally:
-            del os.environ["ACOBE_NN_ARENA"]
-
-    def test_explicit_wins_over_default(self):
-        set_arena_enabled(False)
-        assert resolve_arena(True) is True
-        assert resolve_arena(False) is False
-        assert resolve_arena(None) is False
