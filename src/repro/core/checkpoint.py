@@ -8,35 +8,44 @@ resume, and days k+1..n produce scores bit-identical to an
 uninterrupted run** (pinned by ``tests/core/test_checkpoint_property.py``
 and the golden-file integration test).
 
-Layout of a checkpoint directory (version 2, shard-aware)::
+Layout of a checkpoint directory (version 3)::
 
     <directory>/
       state_shard_000.npz  # per-user rolling arrays for shard 0's users
-      state_shard_001.npz  # ... one slab per shard of the stream's
-      ...                  #     ShardPlan (n_shards=1 -> a single slab)
+      ...                  #   (one per shard of the stream's ShardPlan)
       state_groups.npz     # per-group rolling arrays (groups are global)
+      state_<sidecar>      # caller sidecars (e.g. the ingest cursor)
       manifest.json        # schema + version, day cursor, users/groups,
-                           # shard table, config digest, degradation
-                           # counters, per-file checksums
+                           # shard table, sidecar table, config digest,
+                           # degradation counters, per-file checksums
 
-The shard slabs partition the user axis exactly along the stream's
-:class:`~repro.core.pipeline.ShardPlan`, so a large population's
-checkpoint writes in user-range pieces; loading concatenates the
-slabs back in shard order, which restores the original arrays
-bit-for-bit.  Version-1 checkpoints (a single ``state.npz``) are still
-loaded transparently as the one-shard special case.
+Each ``.npz`` holds one stacked member per buffer kind -- ``history``,
+``sigma`` and ``sigweight`` in a shard file, ``gsigma`` and ``gweight``
+in the group file -- with the buffered days on the leading axis (an
+empty buffer is a zero-length leading axis).  The shard slabs
+partition the user axis along the stream's
+:class:`~repro.core.pipeline.ShardPlan`; loading concatenates them back
+in shard order, which restores the original arrays bit-for-bit.
+Checkpoints of an older layout (version 1 or 2) are refused with
+:class:`CheckpointMismatchError`: start a fresh stream.
 
 Durability design, in order of defence:
 
 * **Atomic writes** -- every file goes through
   :func:`repro.core.persistence.atomic_write_bytes` (write temp, fsync,
-  ``os.replace``), so a crash mid-save leaves the previous checkpoint
-  intact.
-* **Manifest-last commit** -- ``state.npz`` is written before
-  ``manifest.json``; a directory is a checkpoint only once its manifest
-  exists, so a partially written directory is detected, not half-read.
-* **Content checksums** -- the manifest records the SHA-256 of
-  ``state.npz``; bit rot and truncation surface as
+  ``os.replace``).
+* **Manifest-last commit** -- the state files are written before
+  ``manifest.json``, and a save never overwrites a file the committed
+  manifest lists: a name it lists is written to its second slot
+  (``state_groups.b.npz``) instead.  A crash before the new manifest
+  lands therefore leaves the previous checkpoint complete; files the
+  new manifest does not list are removed only after it commits.
+* **Kept files** -- a caller can carry immutable sidecars of the
+  committed checkpoint into the next one without rewriting them
+  (``keep_files``); the ingest layer's seen-set segments use this.
+* **Content checksums** -- the manifest records the SHA-256 of every
+  file; :func:`load_checkpoint` verifies each payload once and parses
+  exactly the verified bytes, so bit rot and truncation surface as
   :class:`CheckpointCorruptionError`, never as a NumPy stack trace.
 * **Config digest** -- the manifest pins a digest of the model's
   :class:`~repro.core.detector.ModelConfig`; resuming against a model
@@ -57,12 +66,12 @@ import zipfile
 from dataclasses import asdict
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, TypeVar, Union
+from typing import Any, Callable, Container, Dict, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
-from repro.core.persistence import atomic_write_bytes, atomic_write_json, file_sha256
+from repro.core.persistence import atomic_write_bytes, file_sha256
 from repro.core.streaming import StreamingDetector, StreamState
 from repro.obs import get_telemetry
 
@@ -75,26 +84,29 @@ __all__ = [
     "CheckpointNotFoundError",
     "GROUP_STATE_FILE",
     "LoadedCheckpoint",
-    "STATE_FILE",
+    "committed_manifest",
     "config_digest",
     "load_checkpoint",
     "resume_streaming",
     "save_checkpoint",
     "shard_state_file",
+    "sidecar_intact",
 ]
 
 CHECKPOINT_SCHEMA = "acobe.stream_checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
-#: Legacy version-1 single-slab state file (still readable).
-STATE_FILE = "state.npz"
-#: Version-2 per-group rolling arrays (groups are global, never sharded).
+#: Per-group rolling arrays (groups are global, never sharded).
 GROUP_STATE_FILE = "state_groups.npz"
+
+#: Stacked buffer kinds in each shard file and in the group file.
+_USER_KINDS = ("history", "sigma", "sigweight")
+_GROUP_KINDS = ("gsigma", "gweight")
 
 
 def shard_state_file(index: int) -> str:
-    """The version-2 state file holding shard ``index``'s user arrays."""
+    """The state file holding shard ``index``'s user arrays."""
     return f"state_shard_{index:03d}.npz"
 
 #: Patchable sleep for the retry loop (tests stub it out).
@@ -136,8 +148,7 @@ def config_digest(config: ModelConfig) -> str:
     ``n_shards`` is excluded because it provably does not change
     results (the staged pipeline is bit-identical at any shard count,
     see :mod:`repro.core.pipeline`), so a checkpoint written at one
-    shard count resumes at any other -- and older checkpoints (written
-    before the field existed) keep matching.
+    shard count resumes at any other.
     ``n_jobs`` stays in the digest for compatibility with already
     written checkpoints (changing it would orphan them).  The
     autoencoder ``dtype`` stays in too: float32 and float64 runs are
@@ -179,133 +190,144 @@ def _with_retries(
     ) from last
 
 
+def committed_manifest(directory: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """The manifest committed in ``directory``, or None if absent or unreadable.
+
+    Saves consult it to learn which files they must not overwrite and
+    which files they may carry; an unreadable manifest carries nothing.
+    """
+    try:
+        manifest = json.loads((Path(directory) / MANIFEST_FILE).read_text())
+    except (OSError, ValueError):
+        return None
+    return manifest if isinstance(manifest, dict) else None
+
+
+def sidecar_intact(directory: Union[str, Path], manifest: Mapping[str, Any], name: str) -> bool:
+    """Whether sidecar ``name`` of ``manifest`` still hashes to its checksum."""
+    physical = manifest.get("files", {}).get(name)
+    expected = manifest.get("checksums", {}).get(physical)
+    if expected is None:
+        return False
+    try:
+        return file_sha256(Path(directory) / physical) == expected
+    except OSError:
+        return False
+
+
+def _unlisted_name(name: str, listed: Container[str]) -> str:
+    """``name``, or its second slot when the committed manifest lists it.
+
+    The committed manifest lists at most one slot of each name, so a
+    save alternates between the two and never overwrites a file the
+    committed checkpoint still needs.
+    """
+    if name not in listed:
+        return name
+    stem, _, ext = name.rpartition(".")
+    return f"{stem}.b.{ext}"
+
+
 def _npz_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 
-def _shard_state_bytes(state: StreamState, start: int, stop: int) -> bytes:
-    """Serialize the per-user rolling arrays for users ``[start, stop)``.
+def _stacked(arrays: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Rows ``[start, stop)`` of each buffered day, stacked on a leading day axis.
 
-    Every per-user array has the user axis first, so a basic slice
-    selects the shard's rows without copying the rest.
+    An empty buffer becomes a ``(0, stop - start)`` array, which still
+    concatenates along the row axis on load.
     """
-    arrays: Dict[str, np.ndarray] = {}
-    for i, slab in enumerate(state.history):
-        arrays[f"history_{i}"] = slab[start:stop]
-    for i, (sigma, weight) in enumerate(state.sigma_buffer):
-        arrays[f"sigma_{i}"] = sigma[start:stop]
-        arrays[f"sigweight_{i}"] = weight[start:stop]
-    return _npz_bytes(arrays)
+    if not arrays:
+        return np.zeros((0, stop - start))
+    return np.stack([array[start:stop] for array in arrays])
 
 
-def _group_state_bytes(state: StreamState) -> bytes:
+def _shard_state_bytes(state: StreamState, start: int, stop: int) -> bytes:
+    """Serialize the per-user rolling arrays for users ``[start, stop)``."""
+    return _npz_bytes({
+        "history": _stacked(state.history, start, stop),
+        "sigma": _stacked([s for s, _ in state.sigma_buffer], start, stop),
+        "sigweight": _stacked([w for _, w in state.sigma_buffer], start, stop),
+    })
+
+
+def _group_state_bytes(state: StreamState, n_groups: int) -> bytes:
     """Serialize the per-group rolling arrays (global, never sharded)."""
-    arrays: Dict[str, np.ndarray] = {}
-    for i, (sigma, weight) in enumerate(state.group_sigma_buffer):
-        arrays[f"gsigma_{i}"] = sigma
-        arrays[f"gweight_{i}"] = weight
-    return _npz_bytes(arrays)
+    return _npz_bytes({
+        "gsigma": _stacked([s for s, _ in state.group_sigma_buffer], 0, n_groups),
+        "gweight": _stacked([w for _, w in state.group_sigma_buffer], 0, n_groups),
+    })
 
 
-def _state_from_npz(path: Path, counts: Mapping[str, int]) -> StreamState:
+def _read_npz(payload: bytes, name: str, kinds: Sequence[str]) -> Dict[str, np.ndarray]:
     try:
-        with np.load(path) as archive:
-            history = [
-                np.asarray(archive[f"history_{i}"], dtype=np.float64)
-                for i in range(int(counts["history"]))
-            ]
-            sigma = [
-                (
-                    np.asarray(archive[f"sigma_{i}"], dtype=np.float64),
-                    np.asarray(archive[f"sigweight_{i}"], dtype=np.float64),
-                )
-                for i in range(int(counts["sigma"]))
-            ]
-            group_sigma = [
-                (
-                    np.asarray(archive[f"gsigma_{i}"], dtype=np.float64),
-                    np.asarray(archive[f"gweight_{i}"], dtype=np.float64),
-                )
-                for i in range(int(counts["group_sigma"]))
-            ]
+        with np.load(io.BytesIO(payload)) as archive:
+            return {kind: archive[kind] for kind in kinds}
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
-        raise CheckpointCorruptionError(
-            f"unreadable checkpoint state {path}: {exc}"
-        ) from exc
-    return StreamState(history=history, sigma_buffer=sigma, group_sigma_buffer=group_sigma,
-                       last_day=None)
+        raise CheckpointCorruptionError(f"unreadable checkpoint state {name}: {exc}") from exc
 
 
-def _state_from_shards(directory: Path, manifest: Mapping[str, Any]) -> StreamState:
-    """Rebuild a full :class:`StreamState` from version-2 shard slabs.
+def _state_from_payloads(
+    directory: Path, manifest: Mapping[str, Any], payloads: Mapping[str, bytes]
+) -> StreamState:
+    """Rebuild a :class:`StreamState` from verified shard and group payloads.
 
     Shard slabs are concatenated along the user axis in shard-index
     order; because :func:`save_checkpoint` sliced them off the same
     arrays along a contiguous partition, the concatenation restores the
     originals bit-for-bit.
     """
-    counts = manifest.get("counts", {})
-    n_history = int(counts.get("history", 0))
-    n_sigma = int(counts.get("sigma", 0))
-    n_group = int(counts.get("group_sigma", 0))
     shards = sorted(manifest.get("shards", []), key=lambda entry: int(entry["index"]))
     if not shards:
         raise CheckpointCorruptionError(
-            f"version-2 checkpoint at {directory} lists no shards in its manifest"
+            f"checkpoint at {directory} lists no shards in its manifest"
         )
+    pieces = [_read_npz(payloads[entry["file"]], entry["file"], _USER_KINDS) for entry in shards]
+    user = {
+        kind: np.concatenate([piece[kind] for piece in pieces], axis=1)
+        if len(pieces) > 1 else pieces[0][kind]
+        for kind in _USER_KINDS
+    }
+    group_file = manifest.get("group_file", GROUP_STATE_FILE)
+    group = _read_npz(payloads[group_file], group_file, _GROUP_KINDS)
 
-    per_shard: list = []
-    for entry in shards:
-        path = directory / str(entry["file"])
-        try:
-            with np.load(path) as archive:
-                history = [
-                    np.asarray(archive[f"history_{i}"], dtype=np.float64)
-                    for i in range(n_history)
-                ]
-                sigma = [
-                    (
-                        np.asarray(archive[f"sigma_{i}"], dtype=np.float64),
-                        np.asarray(archive[f"sigweight_{i}"], dtype=np.float64),
-                    )
-                    for i in range(n_sigma)
-                ]
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
-            raise CheckpointCorruptionError(
-                f"unreadable checkpoint shard {path}: {exc}"
-            ) from exc
-        per_shard.append((history, sigma))
-
-    group_path = directory / str(manifest.get("group_file", GROUP_STATE_FILE))
-    try:
-        with np.load(group_path) as archive:
-            group_sigma = [
-                (
-                    np.asarray(archive[f"gsigma_{i}"], dtype=np.float64),
-                    np.asarray(archive[f"gweight_{i}"], dtype=np.float64),
-                )
-                for i in range(n_group)
-            ]
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
+    counts = manifest.get("counts", {})
+    found = {
+        "history": len(user["history"]),
+        "sigma": len(user["sigma"]),
+        "group_sigma": len(group["gsigma"]),
+    }
+    if found != {key: int(counts.get(key, -1)) for key in found}:
         raise CheckpointCorruptionError(
-            f"unreadable checkpoint group state {group_path}: {exc}"
-        ) from exc
-
-    def cat(pieces):
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-
-    history = [cat([shard[0][i] for shard in per_shard]) for i in range(n_history)]
-    sigma = [
-        (
-            cat([shard[1][i][0] for shard in per_shard]),
-            cat([shard[1][i][1] for shard in per_shard]),
+            f"checkpoint at {directory} holds buffers of lengths {found}, "
+            f"but its manifest records {counts}"
         )
-        for i in range(n_sigma)
-    ]
-    return StreamState(history=history, sigma_buffer=sigma, group_sigma_buffer=group_sigma,
-                       last_day=None)
+    return StreamState(
+        history=list(user["history"]),
+        sigma_buffer=list(zip(user["sigma"], user["sigweight"])),
+        group_sigma_buffer=list(zip(group["gsigma"], group["gweight"])),
+        last_day=None,
+    )
+
+
+def _check_sidecar_name(filename: str) -> None:
+    if "/" in filename or "\\" in filename or not filename.startswith("state_"):
+        raise ValueError(
+            f"checkpoint sidecar {filename!r} must be a plain filename starting "
+            "with 'state_' (stale-file cleanup tracks that prefix)"
+        )
+    if filename.startswith(("state_shard_", "state_groups")):
+        raise ValueError(f"checkpoint sidecar {filename!r} collides with a core file")
+
+
+_CORE_MANIFEST_KEYS = frozenset({
+    "schema", "version", "config_digest", "last_day", "users", "groups",
+    "group_map", "on_bad_day", "shards", "group_file", "counts",
+    "counters", "files", "checksums",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +342,14 @@ def save_checkpoint(
     backoff: float = 0.05,
     extra_files: Optional[Mapping[str, bytes]] = None,
     extra_manifest: Optional[Mapping[str, Any]] = None,
+    keep_files: Sequence[str] = (),
 ) -> Path:
     """Atomically persist a stream's full rolling state.
 
-    Safe to call after every observed day: each save replaces the
-    previous checkpoint only at its final ``os.replace``, so the
-    directory always holds one complete, committed checkpoint.
+    Safe to call after every observed day: the new manifest is the
+    commit point, and no file the previous manifest lists is
+    overwritten, so the directory always holds one complete, committed
+    checkpoint.
 
     Args:
         stream: the detector whose state to persist.
@@ -333,84 +357,78 @@ def save_checkpoint(
         retries: extra attempts per file on transient ``OSError``.
         backoff: initial retry delay in seconds (doubles per retry).
         extra_files: sidecar payloads a caller wants committed with the
-            same durability guarantees (e.g. the ingest cursor).  Each
-            filename must be a plain ``state*``-prefixed name; payloads
-            are written atomically *before* the manifest, checksummed in
-            it, and verified by :func:`load_checkpoint`.
+            same durability guarantees (e.g. the ingest cursor), keyed
+            by a plain ``state_``-prefixed name.  Each is written before
+            the manifest, checksummed in it, verified by
+            :func:`load_checkpoint`, and read back with
+            :meth:`LoadedCheckpoint.payload`.
         extra_manifest: additional top-level manifest entries (e.g. a
             dataset binding); keys must not collide with the core
             checkpoint fields.
+        keep_files: sidecar names of the *committed* checkpoint to carry
+            into the new one unchanged: listed with their recorded
+            checksums, not rewritten.  The caller vouches that they are
+            intact (see :func:`sidecar_intact`).
 
     Returns:
         The checkpoint directory.
     """
     directory = Path(directory)
     extra_files = dict(extra_files or {})
-    for filename in extra_files:
-        if "/" in filename or "\\" in filename or not filename.startswith("state"):
-            raise ValueError(
-                f"extra checkpoint file {filename!r} must be a plain filename "
-                "starting with 'state' (stale-file cleanup tracks that prefix)"
-            )
-        if filename in (STATE_FILE, GROUP_STATE_FILE, MANIFEST_FILE) or filename.startswith(
-            "state_shard_"
-        ):
-            raise ValueError(f"extra checkpoint file {filename!r} collides with a core file")
-    _CORE_MANIFEST_KEYS = {
-        "schema", "version", "config_digest", "last_day", "users", "groups",
-        "group_map", "on_bad_day", "shards", "group_file", "counts",
-        "counters", "checksums",
-    }
+    for filename in [*extra_files, *keep_files]:
+        _check_sidecar_name(filename)
+    if set(extra_files) & set(keep_files):
+        raise ValueError(
+            f"sidecars {sorted(set(extra_files) & set(keep_files))} are both "
+            "written and kept"
+        )
     for key in extra_manifest or {}:
         if key in _CORE_MANIFEST_KEYS:
             raise ValueError(f"extra_manifest key {key!r} collides with a core manifest field")
+    committed = committed_manifest(directory) or {}
+    listed: Dict[str, str] = committed.get("checksums", {})
+    files: Dict[str, str] = {}
+    checksums: Dict[str, str] = {}
+    for name in keep_files:
+        physical = committed.get("files", {}).get(name)
+        if physical not in listed:
+            raise ValueError(f"cannot keep {name!r}: the committed checkpoint at {directory} "
+                             "does not list it")
+        files[name] = physical
+        checksums[physical] = listed[physical]
+
     telemetry = get_telemetry()
     with telemetry.span("checkpoint.save", directory=str(directory)) as span:
         state = stream.export_state()
         plan = stream.shard_plan
-
-        checksums: Dict[str, str] = {}
-        shard_table = []
         total_bytes = 0
-        for shard in plan:
-            filename = shard_state_file(shard.index)
-            payload = _shard_state_bytes(state, shard.start, shard.stop)
-            path = directory / filename
-            _with_retries(
-                lambda path=path, payload=payload: atomic_write_bytes(path, payload),
-                f"writing {path}",
-                retries,
-                backoff,
-            )
-            checksums[filename] = hashlib.sha256(payload).hexdigest()
-            shard_table.append(
-                {"index": shard.index, "start": shard.start, "stop": shard.stop,
-                 "file": filename}
-            )
-            total_bytes += len(payload)
 
-        group_payload = _group_state_bytes(state)
-        group_path = directory / GROUP_STATE_FILE
-        _with_retries(
-            lambda: atomic_write_bytes(group_path, group_payload),
-            f"writing {group_path}",
-            retries,
-            backoff,
-        )
-        checksums[GROUP_STATE_FILE] = hashlib.sha256(group_payload).hexdigest()
-        total_bytes += len(group_payload)
-
-        for filename in sorted(extra_files):
-            payload = extra_files[filename]
-            path = directory / filename
+        def write(name: str, payload: bytes) -> str:
+            nonlocal total_bytes
+            physical = _unlisted_name(name, listed)
+            path = directory / physical
             _with_retries(
-                lambda path=path, payload=payload: atomic_write_bytes(path, payload),
-                f"writing {path}",
-                retries,
-                backoff,
+                lambda: atomic_write_bytes(path, payload), f"writing {path}", retries, backoff
             )
-            checksums[filename] = hashlib.sha256(payload).hexdigest()
+            checksums[physical] = hashlib.sha256(payload).hexdigest()
             total_bytes += len(payload)
+            return physical
+
+        shard_table = [
+            {
+                "index": shard.index,
+                "start": shard.start,
+                "stop": shard.stop,
+                "file": write(
+                    shard_state_file(shard.index),
+                    _shard_state_bytes(state, shard.start, shard.stop),
+                ),
+            }
+            for shard in plan
+        ]
+        group_file = write(GROUP_STATE_FILE, _group_state_bytes(state, len(stream.groups)))
+        for name in sorted(extra_files):
+            files[name] = write(name, extra_files[name])
 
         manifest = {
             "schema": CHECKPOINT_SCHEMA,
@@ -422,7 +440,7 @@ def save_checkpoint(
             "group_map": dict(stream.group_map),
             "on_bad_day": stream.on_bad_day,
             "shards": shard_table,
-            "group_file": GROUP_STATE_FILE,
+            "group_file": group_file,
             "counts": {
                 "history": len(state.history),
                 "sigma": len(state.sigma_buffer),
@@ -434,24 +452,27 @@ def save_checkpoint(
                 "days_imputed": state.days_imputed,
                 "values_imputed": state.values_imputed,
             },
+            "files": files,
             "checksums": checksums,
         }
         for key, value in (extra_manifest or {}).items():
             manifest[key] = value
+        # Compact JSON: the indented form goes through json's pure-Python
+        # encoder, a noticeable share of a save that runs every day.
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
         _with_retries(
-            lambda: atomic_write_json(directory / MANIFEST_FILE, manifest),
+            lambda: atomic_write_bytes(directory / MANIFEST_FILE, manifest_bytes),
             f"writing {directory / MANIFEST_FILE}",
             retries,
             backoff,
         )
         # Post-commit cleanup: drop state files the new manifest does not
-        # reference (a legacy v1 state.npz, shard slabs beyond a now
-        # smaller plan, or extra sidecars from a previous caller).  The
-        # load path ignores them, but leaving them would let the fault
-        # drills corrupt a file nobody reads.
-        expected = set(checksums)
+        # list (the previous checkpoint's slots, sidecars nobody carried,
+        # orphans of a save that crashed before its manifest).  The load
+        # path ignores them, but leaving them would let the fault drills
+        # corrupt a file nobody reads.
         for stale in directory.glob("state*"):
-            if stale.name not in expected:
+            if stale.name not in checksums:
                 stale.unlink(missing_ok=True)
         telemetry.counter("checkpoint.saves").inc()
         span.annotate(
@@ -464,11 +485,14 @@ def save_checkpoint(
 
 
 class LoadedCheckpoint:
-    """A validated checkpoint: manifest fields + the restored state."""
+    """A validated checkpoint: manifest fields, the restored state, and
+    the verified bytes of every file the manifest lists."""
 
-    def __init__(self, manifest: Dict[str, Any], state: StreamState):
+    def __init__(self, manifest: Dict[str, Any], state: StreamState,
+                 payloads: Dict[str, bytes]):
         self.manifest = manifest
         self.state = state
+        self.payloads = payloads
 
     @property
     def last_day(self) -> Optional[date]:
@@ -486,6 +510,17 @@ class LoadedCheckpoint:
     def config_digest(self) -> str:
         return self.manifest["config_digest"]
 
+    def payload(self, name: str) -> bytes:
+        """The checksum-verified bytes of sidecar ``name``.
+
+        Raises:
+            CheckpointCorruptionError: the manifest lists no such sidecar.
+        """
+        physical = self.manifest.get("files", {}).get(name)
+        if physical not in self.payloads:
+            raise CheckpointCorruptionError(f"checkpoint lists no sidecar {name!r}")
+        return self.payloads[physical]
+
 
 def load_checkpoint(
     directory: Union[str, Path],
@@ -494,9 +529,9 @@ def load_checkpoint(
 ) -> LoadedCheckpoint:
     """Load and validate a checkpoint written by :func:`save_checkpoint`.
 
-    Both layouts are supported: version 2 (per-shard user slabs plus a
-    group slab) and the legacy version-1 single ``state.npz``, which
-    loads as the one-shard special case.
+    Every file the manifest lists is read once and checked against its
+    checksum; the state and the sidecar payloads are parsed from exactly
+    those verified bytes.
 
     Raises:
         CheckpointNotFoundError: no committed manifest at ``directory``
@@ -504,12 +539,14 @@ def load_checkpoint(
             files made it to disk).
         CheckpointCorruptionError: manifest unreadable, state file
             missing, checksum mismatch, or archive truncated/corrupt.
+        CheckpointMismatchError: the checkpoint has another layout
+            version than this build's (older ones are not migrated).
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
         detail = ""
-        if any(directory.glob("state*.npz")):
+        if any(directory.glob("state*")):
             detail = (
                 " (state files exist without a manifest: the checkpoint "
                 "was never committed -- treat it as absent)"
@@ -531,48 +568,48 @@ def load_checkpoint(
             f"{manifest_path} is not a stream checkpoint "
             f"(schema={manifest.get('schema')!r})"
         )
-    if int(manifest.get("version", 0)) > CHECKPOINT_VERSION:
+    version = manifest.get("version")
+    if version is not None and int(version) > CHECKPOINT_VERSION:
         raise CheckpointMismatchError(
-            f"checkpoint version {manifest.get('version')} is newer than "
+            f"checkpoint version {version} is newer than "
             f"this build supports ({CHECKPOINT_VERSION}); upgrade before resuming"
         )
+    if version is None or int(version) < CHECKPOINT_VERSION:
+        recorded = "no layout version" if version is None else f"layout version {version}"
+        raise CheckpointMismatchError(
+            f"checkpoint at {directory} records {recorded}; this build reads only "
+            f"version {CHECKPOINT_VERSION} -- start a fresh stream (run without "
+            "--resume into an empty checkpoint directory)"
+        )
 
-    version = int(manifest.get("version", 0))
-    if version <= 1:
-        expected_files = [STATE_FILE]
-    else:
-        expected_files = [str(s["file"]) for s in manifest.get("shards", [])]
-        expected_files.append(str(manifest.get("group_file", GROUP_STATE_FILE)))
-    # Verify every checksummed file, core and sidecar alike: the manifest
-    # is the commit record, so anything it checksums must be present and
-    # intact for the checkpoint to count as valid.
+    # Verify every listed file, core and sidecar alike: the manifest is
+    # the commit record, so anything it lists must be present and intact
+    # for the checkpoint to count as valid.
     checksums = manifest.get("checksums", {})
-    extra_files = [name for name in sorted(checksums) if name not in expected_files]
-    for filename in expected_files + extra_files:
+    listed = [str(entry["file"]) for entry in manifest.get("shards", [])]
+    listed.append(str(manifest.get("group_file", GROUP_STATE_FILE)))
+    listed.extend(manifest.get("files", {}).values())
+    listed += [name for name in sorted(checksums) if name not in listed]
+    payloads: Dict[str, bytes] = {}
+    for filename in listed:
         file_path = directory / filename
         if not file_path.exists():
             raise CheckpointCorruptionError(
                 f"partially written checkpoint at {directory}: manifest present "
                 f"but {filename} is missing"
             )
+        payload = _with_retries(file_path.read_bytes, f"reading {file_path}", retries, backoff)
         expected = checksums.get(filename)
-        actual = _with_retries(
-            lambda file_path=file_path: file_sha256(file_path),
-            f"hashing {file_path}",
-            retries,
-            backoff,
-        )
+        actual = hashlib.sha256(payload).hexdigest()
         if expected != actual:
             raise CheckpointCorruptionError(
                 f"checksum mismatch for {file_path}: manifest says {expected}, "
                 f"file hashes to {actual} -- the checkpoint is corrupt "
                 "(truncated write or bit rot)"
             )
+        payloads[filename] = payload
 
-    if version <= 1:
-        state = _state_from_npz(directory / STATE_FILE, manifest.get("counts", {}))
-    else:
-        state = _state_from_shards(directory, manifest)
+    state = _state_from_payloads(directory, manifest, payloads)
     last_day = manifest.get("last_day")
     state.last_day = date.fromisoformat(last_day) if last_day else None
     counters = manifest.get("counters", {})
@@ -581,7 +618,7 @@ def load_checkpoint(
     state.days_imputed = int(counters.get("days_imputed", 0))
     state.values_imputed = int(counters.get("values_imputed", 0))
     get_telemetry().counter("checkpoint.loads").inc()
-    return LoadedCheckpoint(manifest, state)
+    return LoadedCheckpoint(manifest, state, payloads)
 
 
 def resume_streaming(

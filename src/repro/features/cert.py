@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from datetime import date
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -158,6 +159,9 @@ class CertSlabAccumulator:
     lateness policy *before* reaching the accumulator.
     """
 
+    #: seen-set kinds whose entries are a scalar key rather than a tuple.
+    _SCALAR_SEEN = ("hosts",)
+
     def __init__(
         self,
         users: Sequence[str],
@@ -175,6 +179,10 @@ class CertSlabAccumulator:
             "http_pairs": [set() for _ in self.users],  # (upload-filetype, domain)
             "http_ops": [set() for _ in self.users],    # (activity, domain)
         }
+        #: Append-only commit log: one ``(kind, u, key)`` entry per key the
+        #: first time it enters user ``u``'s seen-set, in commit order.  A
+        #: checkpoint persists only the entries past its previous save.
+        self._log: List[tuple] = []
         self._open: Dict[date, _OpenDay] = {}
         self._last_sealed: Optional[date] = None
 
@@ -182,6 +190,11 @@ class CertSlabAccumulator:
     def last_sealed(self) -> Optional[date]:
         """The most recent (and highest) sealed day, or None."""
         return self._last_sealed
+
+    @property
+    def seen_rows(self) -> int:
+        """Rows in the seen-set commit log (committed keys so far)."""
+        return len(self._log)
 
     def open_days(self) -> List[date]:
         """Days with buffered state, ascending."""
@@ -269,64 +282,80 @@ class CertSlabAccumulator:
         slab = state.raw
         seen = self._seen
         f = self._f
+        new: List[tuple] = []  # (kind, u, key) not yet seen, once per time-frame
         for (u, host, t), n in state.pending["hosts"].items():
             if host not in seen["hosts"][u]:
                 slab[u, f["device-new-host"], t] += n
+                new.append(("hosts", u, host))
         for (u, direction, file_id, t), n in state.pending["file_pairs"].items():
-            if (direction, file_id) not in seen["file_pairs"][u]:
+            key = (direction, file_id)
+            if key not in seen["file_pairs"][u]:
                 slab[u, f[direction], t] += n
+                new.append(("file_pairs", u, key))
         for (u, activity, file_id, t), n in state.pending["file_ops"].items():
-            if (activity, file_id) not in seen["file_ops"][u]:
+            key = (activity, file_id)
+            if key not in seen["file_ops"][u]:
                 slab[u, f["file-new-op"], t] += n
+                new.append(("file_ops", u, key))
         for (u, filetype, domain, t), n in state.pending["http_pairs"].items():
-            if (filetype, domain) not in seen["http_pairs"][u]:
+            key = (filetype, domain)
+            if key not in seen["http_pairs"][u]:
                 slab[u, f[f"http-upload-{filetype}"], t] += n
+                new.append(("http_pairs", u, key))
         for (u, activity, domain, t), n in state.pending["http_ops"].items():
-            if (activity, domain) not in seen["http_ops"][u]:
+            key = (activity, domain)
+            if key not in seen["http_ops"][u]:
                 slab[u, f["http-new-op"], t] += n
+                new.append(("http_ops", u, key))
 
-        # Commit the day's observations only now that the day has ended
-        # (intra-day repeats above all counted as new, per the paper).
-        for (u, host, _t) in state.pending["hosts"]:
-            seen["hosts"][u].add(host)
-        for (u, direction, file_id, _t) in state.pending["file_pairs"]:
-            seen["file_pairs"][u].add((direction, file_id))
-        for (u, activity, file_id, _t) in state.pending["file_ops"]:
-            seen["file_ops"][u].add((activity, file_id))
-        for (u, filetype, domain, _t) in state.pending["http_pairs"]:
-            seen["http_pairs"][u].add((filetype, domain))
-        for (u, activity, domain, _t) in state.pending["http_ops"]:
-            seen["http_ops"][u].add((activity, domain))
+        # Commit the day's new keys only now that the day has ended
+        # (intra-day repeats above all counted as new, per the paper),
+        # logging each once.
+        for entry in new:
+            kind, u, key = entry
+            per_user = seen[kind][u]
+            if key not in per_user:
+                per_user.add(key)
+                self._log.append(entry)
 
         self._last_sealed = day
         return slab
 
     # -- checkpoint support -------------------------------------------------
 
-    #: seen-set kinds whose entries are (u, key) with a scalar key.
-    _SCALAR_SEEN = ("hosts",)
-
-    def export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+    def export_state(self, seen_offset: int = 0) -> Tuple[dict, Dict[str, np.ndarray]]:
         """Serialize committed seen-sets and open-day buffers.
+
+        Args:
+            seen_offset: emit only the commit-log rows from this index
+                on.  0 (the default) makes the document self-contained;
+                a checkpoint that already holds rows ``[0, seen_offset)``
+                passes its row count to write only what is new.
 
         Returns:
             ``(doc, arrays)`` -- a JSON-serializable document plus the
             open days' raw slabs (one float64 array per open day), ready
-            for an ``npz`` payload.  :meth:`restore_state` round-trips
-            them exactly.
+            for an ``npz`` payload.  The doc's ``seen`` holds the log
+            entries from ``seen_offset`` on as ``{kind: {user index:
+            keys}}``, a pair key flattened into two consecutive strings;
+            ``seen_total`` is the log length.  With ``seen_offset=0``,
+            :meth:`restore_state` round-trips them exactly.
         """
+        # Flat string lists parse back into few container objects, which
+        # keeps a resume cheap for the garbage collector.
+        seen: Dict[str, Dict[str, list]] = {kind: {} for kind in self._seen}
+        for kind, u, key in self._log[seen_offset:]:
+            keys = seen[kind].setdefault(str(u), [])
+            if kind in self._SCALAR_SEEN:
+                keys.append(key)
+            else:
+                keys.extend(key)
         open_days = self.open_days()
         doc = {
             "users": list(self.users),
             "last_sealed": self._last_sealed.isoformat() if self._last_sealed else None,
-            "seen": {
-                kind: sorted(
-                    [u, key] if kind in self._SCALAR_SEEN else [u, *key]
-                    for u, per_user in enumerate(sets)
-                    for key in per_user
-                )
-                for kind, sets in self._seen.items()
-            },
+            "seen": seen,
+            "seen_total": len(self._log),
             "open_days": [d.isoformat() for d in open_days],
             "pending": {
                 d.isoformat(): {
@@ -345,13 +374,25 @@ class CertSlabAccumulator:
             raise ValueError("accumulator state was captured for a different user list")
         last_sealed = doc.get("last_sealed")
         self._last_sealed = date.fromisoformat(last_sealed) if last_sealed else None
+        # Log order only matters as a count (what a checkpoint already
+        # holds), so the restored log lists the keys kind by kind.
+        self._log = []
         for kind, sets in self._seen.items():
             for per_user in sets:
                 per_user.clear()
-            for entry in doc["seen"][kind]:
-                u = int(entry[0])
-                key = entry[1] if kind in self._SCALAR_SEEN else tuple(entry[1:])
-                sets[u].add(key)
+            for user, flat in doc["seen"].get(kind, {}).items():
+                u = int(user)
+                if kind in self._SCALAR_SEEN:
+                    keys = flat
+                else:  # every other kind's key is a pair
+                    keys = list(zip(flat[0::2], flat[1::2]))
+                sets[u].update(keys)
+                self._log.extend(zip(repeat(kind), repeat(u), keys))
+        if len(self._log) != doc["seen_total"]:
+            raise ValueError(
+                f"accumulator state holds {len(self._log)} of {doc['seen_total']} seen "
+                "keys; it was exported from a nonzero offset -- add the earlier ones"
+            )
         self._open = {}
         for i, day_text in enumerate(doc["open_days"]):
             day = date.fromisoformat(day_text)

@@ -5,7 +5,7 @@ the streaming detector's per-day slabs: incremental slab building
 (:class:`SlabBuilder` over the shared CERT counting path), an event-time
 watermark with bounded lateness (:class:`WatermarkClock`,
 :class:`IngestConfig`), a push façade with typed backpressure
-(:class:`Ingestor`), and a durable ingest cursor riding the v2 stream
+(:class:`Ingestor`), and a durable ingest cursor riding the stream
 checkpoint (:func:`save_ingest_checkpoint` / :func:`resume_ingest`).
 
 See ``docs/INGEST.md`` for semantics and guarantees.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import time
+import uuid
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -227,6 +228,17 @@ class Ingestor:
         self.events_late = 0
         self.events_duplicate = 0
         self.days_sealed = 0
+        #: Identifies this stream across checkpoints: minted here, restored
+        #: on resume.  A checkpoint directory whose manifest carries another
+        #: lineage belongs to a different stream, so none of its files are
+        #: carried into this stream's next save.
+        self.lineage = uuid.uuid4().hex
+        # Register the lifetime counters at zero: a run report then says
+        # "0 late deliveries" instead of omitting the counter.
+        telemetry = get_telemetry()
+        for name in ("ingest.events", "ingest.events_late", "ingest.events_duplicate",
+                     "ingest.days_sealed"):
+            telemetry.counter(name)
         # Monitoring-plane attachments; both optional, both observational.
         self._exporter = None
         self._quality_monitor = None
@@ -495,15 +507,18 @@ class Ingestor:
     # checkpoint support
     # ------------------------------------------------------------------
 
-    def export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+    def export_state(self, seen_offset: int = 0) -> Tuple[dict, Dict[str, np.ndarray]]:
         """Serialize the ingest cursor as ``(json doc, npz arrays)``.
 
-        Covers the watermark clock, seal cursor, lifetime counters and
-        the builder's full buffered state; the detector's rolling state
-        is checkpointed separately (``repro.core.checkpoint``).
+        Covers the lineage, watermark clock, seal cursor, lifetime
+        counters and the builder's buffered state; the detector's rolling
+        state is checkpointed separately (``repro.core.checkpoint``).
+        ``seen_offset`` skips the seen-set rows a checkpoint already holds
+        (see :meth:`SlabBuilder.export_state`); 0 exports them all.
         """
-        builder_doc, arrays = self._builder.export_state()
+        builder_doc, arrays = self._builder.export_state(seen_offset)
         doc = {
+            "lineage": self.lineage,
             "cursor": self._cursor.isoformat() if self._cursor else None,
             "max_event_day": (
                 self._clock.max_event_day.isoformat() if self._clock.max_event_day else None
@@ -518,6 +533,7 @@ class Ingestor:
 
     def restore_state(self, doc: dict, arrays: Dict[str, np.ndarray]) -> None:
         """Restore state captured by :meth:`export_state` (exact)."""
+        self.lineage = doc["lineage"]
         self._cursor = date.fromisoformat(doc["cursor"]) if doc["cursor"] else None
         self._clock.max_event_day = (
             date.fromisoformat(doc["max_event_day"]) if doc["max_event_day"] else None

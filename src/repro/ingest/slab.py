@@ -132,9 +132,19 @@ class SlabBuilder:
 
     # -- checkpoint support -------------------------------------------------
 
-    def export_state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """Serialize builder state as ``(json doc, npz arrays)``."""
-        doc, arrays = self._accumulator.export_state()
+    @property
+    def seen_rows(self) -> int:
+        """Rows in the accumulator's seen-set commit log."""
+        return self._accumulator.seen_rows
+
+    def export_state(self, seen_offset: int = 0) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """Serialize builder state as ``(json doc, npz arrays)``.
+
+        ``seen_offset`` is passed to
+        :meth:`~repro.features.cert.CertSlabAccumulator.export_state`:
+        only seen-set rows from that index on are emitted.
+        """
+        doc, arrays = self._accumulator.export_state(seen_offset)
         return (
             {
                 "accumulator": doc,

@@ -10,7 +10,6 @@ from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     GROUP_STATE_FILE,
     MANIFEST_FILE,
-    STATE_FILE,
     CheckpointCorruptionError,
     CheckpointError,
     CheckpointMismatchError,
@@ -311,7 +310,7 @@ def write_v1_checkpoint(directory, stream):
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     payload = buffer.getvalue()
-    (directory / STATE_FILE).write_bytes(payload)
+    (directory / "state.npz").write_bytes(payload)
     manifest = {
         "schema": "acobe.stream_checkpoint",
         "version": 1,
@@ -332,77 +331,90 @@ def write_v1_checkpoint(directory, stream):
             "days_imputed": state.days_imputed,
             "values_imputed": state.values_imputed,
         },
-        "checksums": {STATE_FILE: hashlib.sha256(payload).hexdigest()},
+        "checksums": {"state.npz": hashlib.sha256(payload).hexdigest()},
     }
     (directory / MANIFEST_FILE).write_text(json.dumps(manifest))
     return directory
 
 
-class TestV1Migration:
-    def test_v1_checkpoint_loads_bit_exactly(self, tmp_path, cube, group_map, fitted):
+def set_manifest_version(directory, version):
+    """Rewrite a committed manifest's layout version (None drops the field)."""
+    manifest_path = directory / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    if version is None:
+        del manifest["version"]
+    else:
+        manifest["version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestLegacyVersionsRejected:
+    """Layouts before version 3 are refused, never migrated."""
+
+    def test_v1_checkpoint_refused(self, tmp_path, cube, group_map, fitted):
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 15)
         write_v1_checkpoint(tmp_path / "v1", stream)
-
-        loaded = load_checkpoint(tmp_path / "v1")
-        original = stream.export_state()
-        assert loaded.last_day == DAYS[14]
-        for a, b in zip(loaded.state.history, original.history):
-            np.testing.assert_array_equal(a, b)
-        for (s1, w1), (s2, w2) in zip(loaded.state.sigma_buffer, original.sigma_buffer):
-            np.testing.assert_array_equal(s1, s2)
-            np.testing.assert_array_equal(w1, w2)
-        for (s1, w1), (s2, w2) in zip(
-            loaded.state.group_sigma_buffer, original.group_sigma_buffer
-        ):
-            np.testing.assert_array_equal(s1, s2)
-            np.testing.assert_array_equal(w1, w2)
-
-    def test_v1_resume_continues_bit_identically(self, tmp_path, cube, group_map, fitted):
-        reference = feed(StreamingDetector(fitted, cube.users, group_map), cube, 0, N_DAYS)
-
-        cut = 15
-        dying = StreamingDetector(fitted, cube.users, group_map)
-        feed(dying, cube, 0, cut)
-        write_v1_checkpoint(tmp_path / "v1", dying)
-
-        resumed = resume_streaming(fitted, tmp_path / "v1")
-        tail = feed(resumed, cube, cut, N_DAYS)
-        expected_tail = {d: r for d, r in reference.items() if d >= DAYS[cut]}
-        assert set(tail) == set(expected_tail)
-        for day, result in tail.items():
-            for aspect in result.scores:
-                assert np.array_equal(result.scores[aspect], expected_tail[day].scores[aspect])
-
-    def test_v1_resave_upgrades_layout(self, tmp_path, cube, group_map, fitted):
-        # Resume a v1 checkpoint, save again: the directory becomes the
-        # v2 sharded layout and the legacy state.npz is cleaned up, so
-        # the fault drills can never corrupt a file nobody reads.
-        stream = StreamingDetector(fitted, cube.users, group_map)
-        feed(stream, cube, 0, 15)
-        write_v1_checkpoint(tmp_path / "v1", stream)
-
-        resumed = resume_streaming(fitted, tmp_path / "v1")
-        feed(resumed, cube, 15, 20)
-        save_checkpoint(resumed, tmp_path / "v1")
-
-        manifest = json.loads((tmp_path / "v1" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == CHECKPOINT_VERSION
-        assert not (tmp_path / "v1" / STATE_FILE).exists()
-        assert (tmp_path / "v1" / shard_state_file(0)).exists()
-        loaded = load_checkpoint(tmp_path / "v1")
-        assert loaded.last_day == DAYS[19]
-
-    def test_v1_corruption_still_detected(self, tmp_path, cube, group_map, fitted):
-        stream = StreamingDetector(fitted, cube.users, group_map)
-        feed(stream, cube, 0, 10)
-        write_v1_checkpoint(tmp_path / "v1", stream)
-        corrupt_checkpoint_state(tmp_path / "v1")
-        with pytest.raises(CheckpointCorruptionError, match="checksum mismatch"):
+        with pytest.raises(CheckpointMismatchError, match="layout version 1.*fresh stream"):
             load_checkpoint(tmp_path / "v1")
+
+    def test_v2_checkpoint_refused(self, tmp_path, cube, group_map, fitted):
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 15)
+        save_checkpoint(stream, tmp_path / "v2")
+        set_manifest_version(tmp_path / "v2", 2)
+        with pytest.raises(CheckpointMismatchError, match="layout version 2.*fresh stream"):
+            resume_streaming(fitted, tmp_path / "v2")
+
+    def test_versionless_manifest_refused(self, tmp_path, cube, group_map, fitted):
+        # A manifest without a version used to be read as version 1.
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 15)
+        write_v1_checkpoint(tmp_path / "old", stream)
+        set_manifest_version(tmp_path / "old", None)
+        with pytest.raises(CheckpointMismatchError, match="no layout version.*fresh stream"):
+            load_checkpoint(tmp_path / "old")
+
+    def test_fresh_save_replaces_legacy_checkpoint(self, tmp_path, cube, group_map, fitted):
+        # Starting a fresh stream in the old directory commits a v3
+        # checkpoint and removes the legacy state file.
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 15)
+        write_v1_checkpoint(tmp_path / "v1", stream)
+        save_checkpoint(stream, tmp_path / "v1")
+        assert not (tmp_path / "v1" / "state.npz").exists()
+        assert load_checkpoint(tmp_path / "v1").last_day == DAYS[14]
 
 
 class TestShardedLayout:
+    def test_state_files_hold_one_stacked_member_per_kind(
+        self, tmp_path, cube, group_map, fitted
+    ):
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 12)
+        save_checkpoint(stream, tmp_path / "ckpt")
+        state = stream.export_state()
+        with np.load(tmp_path / "ckpt" / shard_state_file(0)) as archive:
+            assert sorted(archive.files) == ["history", "sigma", "sigweight"]
+            np.testing.assert_array_equal(archive["history"], np.stack(state.history))
+        with np.load(tmp_path / "ckpt" / GROUP_STATE_FILE) as archive:
+            assert sorted(archive.files) == ["gsigma", "gweight"]
+            assert len(archive["gsigma"]) == len(state.group_sigma_buffer)
+
+    def test_empty_buffers_round_trip(self, tmp_path, cube, group_map, fitted):
+        # Before the first day every buffer is empty: a zero-length
+        # leading axis, which must load back as empty buffers.
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        save_checkpoint(stream, tmp_path / "ckpt")
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.state.history == []
+        assert loaded.state.sigma_buffer == []
+        assert loaded.state.group_sigma_buffer == []
+        resumed = resume_streaming(fitted, tmp_path / "ckpt")
+        tail = feed(resumed, cube, 0, N_DAYS)
+        reference = feed(StreamingDetector(fitted, cube.users, group_map), cube, 0, N_DAYS)
+        assert set(tail) == set(reference)
+
     def test_sharded_save_partitions_users(self, tmp_path, cube, group_map):
         from dataclasses import replace as dc_replace
 
@@ -537,6 +549,35 @@ class TestRetries:
         # The old checkpoint is still complete and loadable.
         assert load_checkpoint(tmp_path / "ckpt").last_day == DAYS[9]
 
+    @pytest.mark.faults
+    def test_crash_before_manifest_keeps_previous_checkpoint(
+        self, tmp_path, cube, group_map, fitted, no_sleep
+    ):
+        # Only the manifest replace fails: every state file of the new
+        # save lands, but none may overwrite a file the committed
+        # manifest lists, or the previous checkpoint would fail its
+        # checksums.
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 10)
+        save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_cursor.json": b"one"})
+        feed(stream, cube, 10, 20)
+        with transient_io_errors(100, path_substring=MANIFEST_FILE):
+            with pytest.raises(CheckpointError):
+                save_checkpoint(
+                    stream, tmp_path / "ckpt", retries=1,
+                    extra_files={"state_cursor.json": b"two"},
+                )
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.last_day == DAYS[9]
+        assert loaded.payload("state_cursor.json") == b"one"
+        # The next save commits and removes the crashed save's files.
+        save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_cursor.json": b"two"})
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.last_day == DAYS[19]
+        assert loaded.payload("state_cursor.json") == b"two"
+        on_disk = {path.name for path in (tmp_path / "ckpt").glob("state*")}
+        assert on_disk == set(loaded.manifest["checksums"])
+
 
 class TestExtraSidecars:
     """Generic extra_files / extra_manifest support (used by repro.ingest)."""
@@ -581,7 +622,7 @@ class TestExtraSidecars:
 
     @pytest.mark.parametrize(
         "filename",
-        ["cursor.json", "sub/state_x.json", STATE_FILE, GROUP_STATE_FILE,
+        ["cursor.json", "sub/state_x.json", "state.npz", GROUP_STATE_FILE,
          "state_shard_0.npz"],
     )
     def test_invalid_extra_filenames_rejected(
@@ -612,6 +653,23 @@ class TestExtraSidecars:
         save_checkpoint(stream, tmp_path / "ckpt")
         assert not (tmp_path / "ckpt" / "state_cursor.json").exists()
         load_checkpoint(tmp_path / "ckpt")  # still consistent
+
+    def test_kept_sidecar_is_carried_without_rewrite(self, tmp_path, cube, group_map, fitted):
+        stream = self._stream(cube, group_map, fitted)
+        save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_log.json": b"rows"})
+        path = tmp_path / "ckpt" / "state_log.json"
+        before = path.stat()
+        save_checkpoint(stream, tmp_path / "ckpt", keep_files=["state_log.json"])
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert load_checkpoint(tmp_path / "ckpt").payload("state_log.json") == b"rows"
+
+    def test_keeping_an_unlisted_sidecar_rejected(self, tmp_path, cube, group_map, fitted):
+        stream = self._stream(cube, group_map, fitted)
+        save_checkpoint(stream, tmp_path / "ckpt")
+        with pytest.raises(ValueError, match="does not list"):
+            save_checkpoint(stream, tmp_path / "ckpt", keep_files=["state_log.json"])
+        load_checkpoint(tmp_path / "ckpt")  # the committed checkpoint is untouched
 
     def test_expected_manifest_mismatch_blocks_resume(
         self, tmp_path, cube, group_map, fitted
