@@ -73,7 +73,6 @@ class ModelRunCache:
             ae_config=cfg.autoencoder,
             train_stride=cfg.train_stride,
             n_jobs=cfg.n_jobs,
-            n_shards=cfg.n_shards,
         )
         window = dict(window=cfg.window, matrix_days=cfg.matrix_days)
         factories = {

@@ -20,10 +20,8 @@
 * :mod:`repro.core.checkpoint` -- durable streaming: atomic,
   checksummed checkpoint/resume of :class:`StreamingDetector` state
   with bit-identical continuation.
-* :mod:`repro.core.pipeline` -- the staged detection pipeline
-  (representation -> scoring -> critic) with deterministic user
-  sharding (:class:`ShardPlan`); results are bit-identical at any
-  shard count.
+* :mod:`repro.core.pipeline` -- the scoring and critic stages shared
+  by the batch and streaming paths.
 """
 
 from repro.core.checkpoint import (
@@ -65,24 +63,13 @@ from repro.core.deviation import (
     DeviationConfig,
     DeviationCube,
     compute_deviations,
+    compute_normalized,
     deviate_against_history,
     feature_weights,
     group_means,
 )
 from repro.core.matrix import CompoundMatrices, build_compound_matrices
-from repro.core.pipeline import (
-    CriticStage,
-    DetectionPipeline,
-    InvalidShardCountError,
-    RepresentationStage,
-    ScoringStage,
-    Shard,
-    ShardPlan,
-    ShardPlanError,
-    TooManyShardsError,
-    resolve_n_shards,
-    sharded_deviate_against_history,
-)
+from repro.core.pipeline import CriticStage, DetectionPipeline, ScoringStage
 from repro.core.representation import (
     MatrixView,
     RepresentationPipeline,
@@ -117,21 +104,16 @@ __all__ = [
     "DetectionPipeline",
     "DeviationConfig",
     "DeviationCube",
-    "InvalidShardCountError",
     "InvestigationList",
     "MatrixView",
     "ModelConfig",
     "RepresentationPipeline",
-    "RepresentationStage",
     "ScoringStage",
-    "Shard",
-    "ShardPlan",
-    "ShardPlanError",
-    "TooManyShardsError",
     "aspect_rows",
     "build_compound_matrices",
     "compound_values",
     "compute_deviations",
+    "compute_normalized",
     "deviate_against_history",
     "feature_weights",
     "group_means",
@@ -144,6 +126,4 @@ __all__ = [
     "make_one_day",
     "rank_users",
     "rank_votes",
-    "resolve_n_shards",
-    "sharded_deviate_against_history",
 ]

@@ -8,25 +8,23 @@ resume, and days k+1..n produce scores bit-identical to an
 uninterrupted run** (pinned by ``tests/core/test_checkpoint_property.py``
 and the golden-file integration test).
 
-Layout of a checkpoint directory (version 3)::
+Layout of a checkpoint directory (version 4)::
 
     <directory>/
-      state_shard_000.npz  # per-user rolling arrays for shard 0's users
-      ...                  #   (one per shard of the stream's ShardPlan)
-      state_groups.npz     # per-group rolling arrays (groups are global)
+      state_users.npz      # per-user rolling arrays
+      state_groups.npz     # per-group rolling arrays
       state_<sidecar>      # caller sidecars (e.g. the ingest cursor)
       manifest.json        # schema + version, day cursor, users/groups,
-                           # shard table, sidecar table, config digest,
-                           # degradation counters, per-file checksums
+                           # user/group state files, sidecar table,
+                           # config digest, degradation counters,
+                           # per-file checksums
 
 Each ``.npz`` holds one stacked member per buffer kind -- ``history``,
-``sigma`` and ``sigweight`` in a shard file, ``gsigma`` and ``gweight``
-in the group file -- with the buffered days on the leading axis (an
-empty buffer is a zero-length leading axis).  The shard slabs
-partition the user axis along the stream's
-:class:`~repro.core.pipeline.ShardPlan`; loading concatenates them back
-in shard order, which restores the original arrays bit-for-bit.
-Checkpoints of an older layout (version 1 or 2) are refused with
+``sigma`` and ``sigweight`` in the user file, ``gsigma`` and
+``gweight`` in the group file -- with the buffered days on the leading
+axis (an empty buffer is a zero-length leading axis).  The manifest
+names the two files under ``user_file`` and ``group_file``.
+Checkpoints of an older layout (version 1, 2 or 3) are refused with
 :class:`CheckpointMismatchError`: start a fresh stream.
 
 Durability design, in order of defence:
@@ -84,30 +82,27 @@ __all__ = [
     "CheckpointNotFoundError",
     "GROUP_STATE_FILE",
     "LoadedCheckpoint",
+    "USER_STATE_FILE",
     "committed_manifest",
     "config_digest",
     "load_checkpoint",
     "resume_streaming",
     "save_checkpoint",
-    "shard_state_file",
     "sidecar_intact",
 ]
 
 CHECKPOINT_SCHEMA = "acobe.stream_checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 MANIFEST_FILE = "manifest.json"
-#: Per-group rolling arrays (groups are global, never sharded).
+#: Per-user rolling arrays.
+USER_STATE_FILE = "state_users.npz"
+#: Per-group rolling arrays.
 GROUP_STATE_FILE = "state_groups.npz"
 
-#: Stacked buffer kinds in each shard file and in the group file.
+#: Stacked buffer kinds in the user file and in the group file.
 _USER_KINDS = ("history", "sigma", "sigweight")
 _GROUP_KINDS = ("gsigma", "gweight")
-
-
-def shard_state_file(index: int) -> str:
-    """The state file holding shard ``index``'s user arrays."""
-    return f"state_shard_{index:03d}.npz"
 
 #: Patchable sleep for the retry loop (tests stub it out).
 _SLEEP: Callable[[float], None] = time.sleep
@@ -145,18 +140,12 @@ def config_digest(config: ModelConfig) -> str:
     training is deterministic in the config, see
     :mod:`repro.nn.parallel`).
 
-    ``n_shards`` is excluded because it provably does not change
-    results (the staged pipeline is bit-identical at any shard count,
-    see :mod:`repro.core.pipeline`), so a checkpoint written at one
-    shard count resumes at any other.
     ``n_jobs`` stays in the digest for compatibility with already
     written checkpoints (changing it would orphan them).  The
     autoencoder ``dtype`` stays in too: float32 and float64 runs are
     *not* numerically interchangeable.
     """
-    doc = asdict(config)
-    doc.pop("n_shards", None)
-    canonical = json.dumps(doc, sort_keys=True, default=list)
+    canonical = json.dumps(asdict(config), sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -234,31 +223,27 @@ def _npz_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     return buffer.getvalue()
 
 
-def _stacked(arrays: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
-    """Rows ``[start, stop)`` of each buffered day, stacked on a leading day axis.
-
-    An empty buffer becomes a ``(0, stop - start)`` array, which still
-    concatenates along the row axis on load.
-    """
+def _stacked(arrays: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
+    """The buffered days stacked on a leading day axis (``(0, n_rows)`` when empty)."""
     if not arrays:
-        return np.zeros((0, stop - start))
-    return np.stack([array[start:stop] for array in arrays])
+        return np.zeros((0, n_rows))
+    return np.stack(arrays)
 
 
-def _shard_state_bytes(state: StreamState, start: int, stop: int) -> bytes:
-    """Serialize the per-user rolling arrays for users ``[start, stop)``."""
+def _user_state_bytes(state: StreamState, n_users: int) -> bytes:
+    """Serialize the per-user rolling arrays."""
     return _npz_bytes({
-        "history": _stacked(state.history, start, stop),
-        "sigma": _stacked([s for s, _ in state.sigma_buffer], start, stop),
-        "sigweight": _stacked([w for _, w in state.sigma_buffer], start, stop),
+        "history": _stacked(state.history, n_users),
+        "sigma": _stacked([s for s, _ in state.sigma_buffer], n_users),
+        "sigweight": _stacked([w for _, w in state.sigma_buffer], n_users),
     })
 
 
 def _group_state_bytes(state: StreamState, n_groups: int) -> bytes:
-    """Serialize the per-group rolling arrays (global, never sharded)."""
+    """Serialize the per-group rolling arrays."""
     return _npz_bytes({
-        "gsigma": _stacked([s for s, _ in state.group_sigma_buffer], 0, n_groups),
-        "gweight": _stacked([w for _, w in state.group_sigma_buffer], 0, n_groups),
+        "gsigma": _stacked([s for s, _ in state.group_sigma_buffer], n_groups),
+        "gweight": _stacked([w for _, w in state.group_sigma_buffer], n_groups),
     })
 
 
@@ -273,24 +258,9 @@ def _read_npz(payload: bytes, name: str, kinds: Sequence[str]) -> Dict[str, np.n
 def _state_from_payloads(
     directory: Path, manifest: Mapping[str, Any], payloads: Mapping[str, bytes]
 ) -> StreamState:
-    """Rebuild a :class:`StreamState` from verified shard and group payloads.
-
-    Shard slabs are concatenated along the user axis in shard-index
-    order; because :func:`save_checkpoint` sliced them off the same
-    arrays along a contiguous partition, the concatenation restores the
-    originals bit-for-bit.
-    """
-    shards = sorted(manifest.get("shards", []), key=lambda entry: int(entry["index"]))
-    if not shards:
-        raise CheckpointCorruptionError(
-            f"checkpoint at {directory} lists no shards in its manifest"
-        )
-    pieces = [_read_npz(payloads[entry["file"]], entry["file"], _USER_KINDS) for entry in shards]
-    user = {
-        kind: np.concatenate([piece[kind] for piece in pieces], axis=1)
-        if len(pieces) > 1 else pieces[0][kind]
-        for kind in _USER_KINDS
-    }
+    """Rebuild a :class:`StreamState` from the verified user and group payloads."""
+    user_file = manifest.get("user_file", USER_STATE_FILE)
+    user = _read_npz(payloads[user_file], user_file, _USER_KINDS)
     group_file = manifest.get("group_file", GROUP_STATE_FILE)
     group = _read_npz(payloads[group_file], group_file, _GROUP_KINDS)
 
@@ -319,13 +289,13 @@ def _check_sidecar_name(filename: str) -> None:
             f"checkpoint sidecar {filename!r} must be a plain filename starting "
             "with 'state_' (stale-file cleanup tracks that prefix)"
         )
-    if filename.startswith(("state_shard_", "state_groups")):
+    if filename.startswith(("state_users", "state_groups")):
         raise ValueError(f"checkpoint sidecar {filename!r} collides with a core file")
 
 
 _CORE_MANIFEST_KEYS = frozenset({
     "schema", "version", "config_digest", "last_day", "users", "groups",
-    "group_map", "on_bad_day", "shards", "group_file", "counts",
+    "group_map", "on_bad_day", "user_file", "group_file", "counts",
     "counters", "files", "checksums",
 })
 
@@ -400,7 +370,6 @@ def save_checkpoint(
     telemetry = get_telemetry()
     with telemetry.span("checkpoint.save", directory=str(directory)) as span:
         state = stream.export_state()
-        plan = stream.shard_plan
         total_bytes = 0
 
         def write(name: str, payload: bytes) -> str:
@@ -414,18 +383,7 @@ def save_checkpoint(
             total_bytes += len(payload)
             return physical
 
-        shard_table = [
-            {
-                "index": shard.index,
-                "start": shard.start,
-                "stop": shard.stop,
-                "file": write(
-                    shard_state_file(shard.index),
-                    _shard_state_bytes(state, shard.start, shard.stop),
-                ),
-            }
-            for shard in plan
-        ]
+        user_file = write(USER_STATE_FILE, _user_state_bytes(state, len(stream.users)))
         group_file = write(GROUP_STATE_FILE, _group_state_bytes(state, len(stream.groups)))
         for name in sorted(extra_files):
             files[name] = write(name, extra_files[name])
@@ -439,7 +397,7 @@ def save_checkpoint(
             "groups": list(stream.groups),
             "group_map": dict(stream.group_map),
             "on_bad_day": stream.on_bad_day,
-            "shards": shard_table,
+            "user_file": user_file,
             "group_file": group_file,
             "counts": {
                 "history": len(state.history),
@@ -477,7 +435,6 @@ def save_checkpoint(
         telemetry.counter("checkpoint.saves").inc()
         span.annotate(
             bytes=total_bytes,
-            shards=len(plan),
             history_days=len(state.history),
             last_day=manifest["last_day"],
         )
@@ -586,8 +543,10 @@ def load_checkpoint(
     # the commit record, so anything it lists must be present and intact
     # for the checkpoint to count as valid.
     checksums = manifest.get("checksums", {})
-    listed = [str(entry["file"]) for entry in manifest.get("shards", [])]
-    listed.append(str(manifest.get("group_file", GROUP_STATE_FILE)))
+    listed = [
+        str(manifest.get("user_file", USER_STATE_FILE)),
+        str(manifest.get("group_file", GROUP_STATE_FILE)),
+    ]
     listed.extend(manifest.get("files", {}).values())
     listed += [name for name in sorted(checksums) if name not in listed]
     payloads: Dict[str, bytes] = {}

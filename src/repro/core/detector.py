@@ -32,8 +32,13 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.critic import InvestigationList
-from repro.core.deviation import DeviationConfig, DeviationCube
-from repro.core.pipeline import DetectionPipeline, InvalidShardCountError, ShardPlan
+from repro.core.deviation import (
+    DeviationConfig,
+    DeviationCube,
+    compute_deviations,
+    compute_normalized,
+)
+from repro.core.pipeline import DetectionPipeline
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -53,12 +58,6 @@ class ModelConfig:
     is derived from ``autoencoder.seed`` with
     :func:`repro.nn.parallel.derive_seed`, so the trained weights depend
     only on the configuration, never on scheduling.
-
-    ``n_shards`` partitions the user axis for the staged detection
-    pipeline (:mod:`repro.core.pipeline`): representation and scoring
-    run one user shard at a time (fanning out over ``n_jobs`` workers
-    when both exceed 1).  Scores and rankings are bit-identical for
-    every shard count; checkpoints are stored as per-shard slabs.
     """
 
     name: str = "ACOBE"
@@ -73,7 +72,6 @@ class ModelConfig:
     critic_n: int = 3
     train_stride: int = 1
     n_jobs: int = 1
-    n_shards: int = 1
     autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
 
     def __post_init__(self) -> None:
@@ -85,8 +83,6 @@ class ModelConfig:
             raise ValueError(f"train_stride must be >= 1, got {self.train_stride}")
         if self.critic_n < 1:
             raise ValueError(f"critic_n must be >= 1, got {self.critic_n}")
-        if self.n_shards < 1:
-            raise InvalidShardCountError(f"n_shards must be >= 1, got {self.n_shards}")
 
 
 class CompoundBehaviorModel:
@@ -96,7 +92,7 @@ class CompoundBehaviorModel:
         self.config = config
         self._deviations: Optional[DeviationCube] = None
         self._pipeline: Optional[RepresentationPipeline] = None
-        self._engine: Optional[DetectionPipeline] = None
+        self._engine = DetectionPipeline()
         self._aspects: List[AspectSpec] = []
         self._autoencoders: Dict[str, Autoencoder] = {}
         self._histories: Dict[str, TrainingHistory] = {}
@@ -149,9 +145,7 @@ class CompoundBehaviorModel:
         """
         cfg = self.config
         telemetry = get_telemetry()
-        with telemetry.span(
-            "detector.fit", model=cfg.name, n_jobs=cfg.n_jobs, n_shards=cfg.n_shards
-        ) as span:
+        with telemetry.span("detector.fit", model=cfg.name, n_jobs=cfg.n_jobs) as span:
             with telemetry.span("detector.representation"):
                 self._prepare_representation(cube, group_map, train_days)
 
@@ -191,12 +185,10 @@ class CompoundBehaviorModel:
     def score(self, days: Sequence[date], batch_size: int = 1024) -> Dict[str, np.ndarray]:
         """Per-aspect anomaly scores.
 
-        A thin driver over the staged pipeline's
-        :class:`~repro.core.pipeline.ScoringStage`: scoring streams
-        ``batch_size`` flattened matrices at a time through each
-        autoencoder, partitioned over the model's shard plan.  Errors
-        are per-row and chunk shapes are shard-independent, so any
-        batch size and any shard count yield identical scores.
+        A thin wrapper over :class:`~repro.core.pipeline.ScoringStage`:
+        scoring streams ``batch_size`` flattened matrices at a time
+        through each autoencoder.  Errors are per-row, so any batch size
+        yields identical scores.
 
         Returns:
             aspect name -> array ``(n_users, len(days))`` of
@@ -207,12 +199,7 @@ class CompoundBehaviorModel:
         telemetry = get_telemetry()
         scoring = self._engine.scoring
         scores: Dict[str, np.ndarray] = {}
-        with telemetry.span(
-            "detector.score",
-            model=self.config.name,
-            days=len(days),
-            n_shards=self.config.n_shards,
-        ):
+        with telemetry.span("detector.score", model=self.config.name, days=len(days)):
             for aspect in self._aspects:
                 with telemetry.span("detector.score.aspect", aspect=aspect.name):
                     view = self._view_for(aspect, days)
@@ -277,15 +264,8 @@ class CompoundBehaviorModel:
 
     @property
     def engine(self) -> DetectionPipeline:
-        """The staged shard-aware execution engine built at fit time."""
-        self._require_representation()
+        """The scoring and critic stages that batch and streaming runs of this model use."""
         return self._engine
-
-    @property
-    def shard_plan(self) -> ShardPlan:
-        """The deterministic user partition driving every stage."""
-        self._require_representation()
-        return self._engine.plan
 
     # ------------------------------------------------------------------
     def _prepare_representation(
@@ -294,19 +274,13 @@ class CompoundBehaviorModel:
         group_map: Optional[Mapping[str, str]],
         train_days: Sequence[date],
     ) -> None:
-        """Build the engine, deviations, value pipeline and aspect list.
+        """Build the deviations, value pipeline and aspect list.
 
-        The shard plan partitions the cube's users once; the
-        :class:`~repro.core.pipeline.RepresentationStage` then computes
-        the behavioural representation shard by shard (bit-identical to
-        the monolithic math for any shard count), and the value
-        pipeline combines the weighted/normalized arrays exactly once
-        for ``score``/``investigate`` and every per-aspect view.
+        The value pipeline combines the weighted/normalized arrays
+        exactly once for ``score``/``investigate`` and every per-aspect
+        view.
         """
         cfg = self.config
-        self._engine = DetectionPipeline.for_users(
-            len(cube.users), cfg.n_shards, n_jobs=cfg.n_jobs
-        )
         self._deviations = self._build_representation(cube, dict(group_map or {}), train_days)
         self._aspects = self._resolve_aspects(cube.feature_set)
         self._pipeline = RepresentationPipeline.from_deviations(
@@ -322,13 +296,10 @@ class CompoundBehaviorModel:
         train_days: Sequence[date],
     ) -> DeviationCube:
         cfg = self.config
-        if not group_map:
-            group_map = {u: "all" for u in cube.users}
-        stage = self._engine.representation
         if cfg.representation == "deviation":
             dev_config = DeviationConfig(window=cfg.window, delta=cfg.delta, epsilon=cfg.epsilon)
-            return stage.deviation_cube(cube, group_map, dev_config)
-        return stage.normalized_cube(cube, group_map, train_days, cfg.delta)
+            return compute_deviations(cube, group_map, dev_config)
+        return compute_normalized(cube, group_map, train_days, cfg.delta)
 
     def _resolve_aspects(self, feature_set: FeatureSet) -> List[AspectSpec]:
         if not self.config.all_in_one:
@@ -387,7 +358,6 @@ def make_acobe(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """ACOBE as evaluated in Section V (N=3, omega=30)."""
@@ -399,7 +369,6 @@ def make_acobe(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -413,7 +382,6 @@ def make_no_group(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The No-Group ablation: ACOBE without the group-behaviour block."""
@@ -426,7 +394,6 @@ def make_no_group(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -438,7 +405,6 @@ def make_one_day(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The 1-Day ablation: normalized single-day occurrences."""
@@ -451,7 +417,6 @@ def make_one_day(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -465,7 +430,6 @@ def make_all_in_one(
     critic_n: int = 1,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The All-in-1 ablation: one autoencoder over every feature."""
@@ -478,7 +442,6 @@ def make_all_in_one(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -490,7 +453,6 @@ def make_baseline(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """Liu et al.'s Baseline (fit it with the coarse-grained cube).
@@ -510,7 +472,6 @@ def make_baseline(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,
@@ -522,7 +483,6 @@ def make_base_ff(
     critic_n: int = 3,
     train_stride: int = 1,
     n_jobs: int = 1,
-    n_shards: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """Base-FF: the Baseline framework on ACOBE's fine-grained features.
@@ -540,7 +500,6 @@ def make_base_ff(
             critic_n=critic_n,
             train_stride=train_stride,
             n_jobs=n_jobs,
-            n_shards=n_shards,
         ),
         ae_config,
         dtype=dtype,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -253,9 +253,22 @@ class DeviationCube:
             raise KeyError(f"unknown user {user!r}") from None
 
 
+def _group_assignment(
+    cube: MeasurementCube, group_map: Optional[Mapping[str, str]]
+) -> Tuple[List[str], List[int]]:
+    """Sorted group names and each user's group index (one global group by default)."""
+    group_map = group_map or {u: "all" for u in cube.users}
+    missing = [u for u in cube.users if u not in group_map]
+    if missing:
+        raise ValueError(f"group_map missing users: {missing[:5]}")
+    groups = sorted({group_map[u] for u in cube.users})
+    group_index = {g: i for i, g in enumerate(groups)}
+    return groups, [group_index[group_map[u]] for u in cube.users]
+
+
 def compute_deviations(
     cube: MeasurementCube,
-    group_map: Optional[dict] = None,
+    group_map: Optional[Mapping[str, str]] = None,
     config: Optional[DeviationConfig] = None,
 ) -> DeviationCube:
     """Compute individual and group deviations from a measurement cube.
@@ -270,17 +283,10 @@ def compute_deviations(
         config: deviation parameters.
     """
     config = config or DeviationConfig()
-    group_map = group_map or {u: "all" for u in cube.users}
-    missing = [u for u in cube.users if u not in group_map]
-    if missing:
-        raise ValueError(f"group_map missing users: {missing[:5]}")
+    groups, group_of_user = _group_assignment(cube, group_map)
 
     sigma, weights = deviation_series(cube.values, config)
     days = list(cube.days[config.history_days :])
-
-    groups = sorted({group_map[u] for u in cube.users})
-    group_index = {g: i for i, g in enumerate(groups)}
-    group_of_user = [group_index[group_map[u]] for u in cube.users]
 
     group_values = group_means(cube.values, group_of_user, len(groups))
     group_sigma, group_weights = deviation_series(group_values, config)
@@ -297,4 +303,55 @@ def compute_deviations(
         group_of_user=group_of_user,
         group_sigma=group_sigma,
         group_weights=group_weights,
+    )
+
+
+def _normalize_to_train_max(
+    values: np.ndarray, train_idx: Sequence[int], delta: float
+) -> np.ndarray:
+    """Scale each series by its training-day maximum (floored at 1) into [-Delta, Delta]."""
+    maxima = values[..., train_idx].max(axis=-1, keepdims=True)
+    maxima = np.maximum(maxima, 1.0)
+    normalized = np.clip(values / maxima, 0.0, 1.0)
+    return (normalized * 2.0 - 1.0) * delta
+
+
+def compute_normalized(
+    cube: MeasurementCube,
+    group_map: Optional[Mapping[str, str]],
+    train_days: Sequence[date],
+    delta: float,
+) -> DeviationCube:
+    """The min-max normalized representation of the 1-Day and Baseline models.
+
+    Each (user, feature, time-frame) series is divided by its maximum
+    over ``train_days`` and mapped onto ``[-delta, delta]``, so it fits
+    the same compound-matrix pipeline as :func:`compute_deviations`.
+    The group block normalizes the group-mean series the same way.
+    Weights are all ones, and every cube day stays addressable (no
+    history is consumed).
+    """
+    train_set = set(train_days)
+    train_idx = [i for i, d in enumerate(cube.days) if d in train_set]
+    if not train_idx:
+        raise ValueError("train_days do not overlap the measurement cube")
+    groups, group_of_user = _group_assignment(cube, group_map)
+
+    sigma = _normalize_to_train_max(cube.values, train_idx, delta)
+    group_values = group_means(cube.values, group_of_user, len(groups))
+    group_sigma = _normalize_to_train_max(group_values, train_idx, delta)
+
+    return DeviationCube(
+        sigma=sigma,
+        weights=np.ones_like(sigma),
+        users=list(cube.users),
+        feature_set=cube.feature_set,
+        timeframes=cube.timeframes,
+        days=list(cube.days),
+        # window=2 is a placeholder: this representation reads no history.
+        config=DeviationConfig(window=2, delta=delta),
+        groups=groups,
+        group_of_user=group_of_user,
+        group_sigma=group_sigma,
+        group_weights=np.ones_like(group_sigma),
     )

@@ -157,7 +157,8 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
 
     The returned model has its autoencoders restored but no behavioural
     representation yet; call :func:`attach_representation` before
-    scoring.
+    scoring.  Models saved by older builds load too: the config keys
+    those builds had and this one removed are dropped.
 
     Raises:
         FileNotFoundError: when ``directory`` has no ``config.json``.
@@ -178,6 +179,10 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
         ae_dict = dict(config_dict.pop("autoencoder"))
         ae_dict["encoder_units"] = tuple(ae_dict["encoder_units"])
         ae_dict.pop("extra", None)
+        # Knobs that older builds saved and this one removed; neither
+        # ever changed results (user sharding, the nn arena switch).
+        config_dict.pop("n_shards", None)
+        ae_dict.pop("arena", None)
         config = ModelConfig(autoencoder=AutoencoderConfig(**ae_dict), **config_dict)
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed model config {config_path}: {exc}") from exc

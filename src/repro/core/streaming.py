@@ -54,14 +54,11 @@ import numpy as np
 from repro.core.critic import InvestigationList
 from repro.core.detector import CompoundBehaviorModel
 from repro.core.deviation import DeviationConfig, deviate_against_history, group_means
-from repro.core.pipeline import (
-    CriticStage,
-    ScoringStage,
-    ShardPlan,
-    sharded_deviate_against_history,
-)
 from repro.core.representation import aspect_rows, compound_values
 from repro.obs import get_telemetry
+
+# perfbench/tracing.py SPANS looks this name up; it goes with the next benchmark change.
+sharded_deviate_against_history = deviate_against_history
 
 #: Valid ``on_bad_day`` policies, in increasing order of leniency.
 BAD_DAY_POLICIES = ("strict", "skip", "impute-group-mean")
@@ -212,13 +209,6 @@ class StreamingDetector:
         self._dev_config = DeviationConfig(
             window=cfg.window, delta=cfg.delta, epsilon=cfg.epsilon
         )
-        # The staged pipeline's shard plan partitions this stream's users
-        # exactly like the batch path partitions the cube's; per-day
-        # deviation and scoring run shard by shard with bit-identical
-        # results for any shard count.
-        self._plan = ShardPlan.for_users(len(self.users), cfg.n_shards)
-        self._scoring = ScoringStage(self._plan, n_jobs=cfg.n_jobs)
-        self._critic = CriticStage(self._plan)
         self._history: Deque[np.ndarray] = deque(maxlen=cfg.window - 1)
         self._sigma_buffer: Deque[Tuple[np.ndarray, np.ndarray]] = deque(maxlen=cfg.matrix_days)
         self._group_sigma_buffer: Deque[Tuple[np.ndarray, np.ndarray]] = deque(
@@ -289,11 +279,6 @@ class StreamingDetector:
         """The most recently observed day (quarantined days included)."""
         return self._last_day
 
-    @property
-    def shard_plan(self) -> ShardPlan:
-        """The deterministic user partition driving per-day scoring."""
-        return self._plan
-
     def warm_up(self, cube) -> None:
         """Seed the buffers from a measurement cube (e.g. the train data).
 
@@ -360,7 +345,7 @@ class StreamingDetector:
         if len(self._history) == self._history.maxlen:
             history = np.stack(self._history, axis=-1)  # (U, F, T, w-1)
             self._sigma_buffer.append(
-                sharded_deviate_against_history(slab, history, self._dev_config, self._plan)
+                deviate_against_history(slab, history, self._dev_config)
             )
             group_slab = group_means(slab, self._group_of_user, len(self.groups))
             group_history = group_means(history, self._group_of_user, len(self.groups))
@@ -579,6 +564,7 @@ class StreamingDetector:
 
         feature_set = self.model.deviations.feature_set
         n_features = len(feature_set)
+        engine = self.model.engine
         scores: Dict[str, np.ndarray] = {}
         for aspect in self.model.aspect_names:
             if cfg.all_in_one:
@@ -588,12 +574,12 @@ class StreamingDetector:
             rows = aspect_rows(indices, n_features, cfg.include_group)
             vectors = values[:, rows].reshape(len(self.users), -1)
             autoencoder = self.model.autoencoder(aspect)
-            scores[aspect] = self._scoring.score_vectors(vectors, autoencoder)
+            scores[aspect] = engine.scoring.score_vectors(vectors, autoencoder)
 
         return DailyResult(
             day=day,
             scores=scores,
-            investigation=self._critic.investigate(scores, self.users, cfg.critic_n),
+            investigation=engine.critic.investigate(scores, self.users, cfg.critic_n),
             score_summary={
                 aspect: ScoreSummary.from_scores(arr) for aspect, arr in scores.items()
             },

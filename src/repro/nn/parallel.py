@@ -221,8 +221,7 @@ def map_parallel(
 ) -> Tuple[list, str]:
     """Order-preserving map over a fork process pool, with serial fallback.
 
-    The generic executor behind :func:`train_ensemble` and the sharded
-    detection pipeline (:mod:`repro.core.pipeline`): ``fn`` must be a
+    The executor behind :func:`train_ensemble`: ``fn`` must be a
     module-level (picklable) callable, ``items`` its task tuples.
     Results come back in item order regardless of completion order, so
     any deterministic ``fn`` yields deterministic output for every

@@ -10,6 +10,7 @@ from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     GROUP_STATE_FILE,
     MANIFEST_FILE,
+    USER_STATE_FILE,
     CheckpointCorruptionError,
     CheckpointError,
     CheckpointMismatchError,
@@ -18,7 +19,6 @@ from repro.core.checkpoint import (
     load_checkpoint,
     resume_streaming,
     save_checkpoint,
-    shard_state_file,
 )
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.core.streaming import StreamingDetector
@@ -197,7 +197,7 @@ class TestValidation:
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.faults
-    @pytest.mark.parametrize("missing", [shard_state_file(0), GROUP_STATE_FILE])
+    @pytest.mark.parametrize("missing", [USER_STATE_FILE, GROUP_STATE_FILE])
     def test_partially_written_no_state(self, tmp_path, cube, group_map, fitted, missing):
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 10)
@@ -261,15 +261,6 @@ class TestValidation:
         assert config_digest(fitted.config) == config_digest(fitted.config)
         other = ModelConfig(window=6, matrix_days=5, critic_n=2, autoencoder=TINY_AE)
         assert config_digest(other) != config_digest(fitted.config)
-
-    def test_config_digest_ignores_shard_count(self, fitted):
-        # n_shards is an execution-layout knob with bit-identical results,
-        # so it must not orphan checkpoints written at another count (or
-        # before the field existed at all).
-        from dataclasses import replace
-
-        sharded = replace(fitted.config, n_shards=4)
-        assert config_digest(sharded) == config_digest(fitted.config)
 
     @pytest.mark.parametrize(
         "autoencoder,digest",
@@ -349,7 +340,7 @@ def set_manifest_version(directory, version):
 
 
 class TestLegacyVersionsRejected:
-    """Layouts before version 3 are refused, never migrated."""
+    """Layouts before version 4 are refused, never migrated."""
 
     def test_v1_checkpoint_refused(self, tmp_path, cube, group_map, fitted):
         stream = StreamingDetector(fitted, cube.users, group_map)
@@ -358,13 +349,16 @@ class TestLegacyVersionsRejected:
         with pytest.raises(CheckpointMismatchError, match="layout version 1.*fresh stream"):
             load_checkpoint(tmp_path / "v1")
 
-    def test_v2_checkpoint_refused(self, tmp_path, cube, group_map, fitted):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_layout_refused(self, tmp_path, cube, group_map, fitted, version):
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 15)
-        save_checkpoint(stream, tmp_path / "v2")
-        set_manifest_version(tmp_path / "v2", 2)
-        with pytest.raises(CheckpointMismatchError, match="layout version 2.*fresh stream"):
-            resume_streaming(fitted, tmp_path / "v2")
+        save_checkpoint(stream, tmp_path / "old")
+        set_manifest_version(tmp_path / "old", version)
+        with pytest.raises(
+            CheckpointMismatchError, match=f"layout version {version}.*fresh stream"
+        ):
+            resume_streaming(fitted, tmp_path / "old")
 
     def test_versionless_manifest_refused(self, tmp_path, cube, group_map, fitted):
         # A manifest without a version used to be read as version 1.
@@ -376,7 +370,7 @@ class TestLegacyVersionsRejected:
             load_checkpoint(tmp_path / "old")
 
     def test_fresh_save_replaces_legacy_checkpoint(self, tmp_path, cube, group_map, fitted):
-        # Starting a fresh stream in the old directory commits a v3
+        # Starting a fresh stream in the old directory commits a v4
         # checkpoint and removes the legacy state file.
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 15)
@@ -386,7 +380,21 @@ class TestLegacyVersionsRejected:
         assert load_checkpoint(tmp_path / "v1").last_day == DAYS[14]
 
 
-class TestShardedLayout:
+class TestStateLayout:
+    def test_fresh_save_writes_exactly_the_core_files(
+        self, tmp_path, cube, group_map, fitted
+    ):
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 12)
+        save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_cursor.json": b"{}"})
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == sorted(
+            [MANIFEST_FILE, USER_STATE_FILE, GROUP_STATE_FILE, "state_cursor.json"]
+        )
+        manifest = json.loads((tmp_path / "ckpt" / MANIFEST_FILE).read_text())
+        assert manifest["version"] == CHECKPOINT_VERSION == 4
+        assert manifest["user_file"] == USER_STATE_FILE
+        assert manifest["group_file"] == GROUP_STATE_FILE
+
     def test_state_files_hold_one_stacked_member_per_kind(
         self, tmp_path, cube, group_map, fitted
     ):
@@ -394,7 +402,7 @@ class TestShardedLayout:
         feed(stream, cube, 0, 12)
         save_checkpoint(stream, tmp_path / "ckpt")
         state = stream.export_state()
-        with np.load(tmp_path / "ckpt" / shard_state_file(0)) as archive:
+        with np.load(tmp_path / "ckpt" / USER_STATE_FILE) as archive:
             assert sorted(archive.files) == ["history", "sigma", "sigweight"]
             np.testing.assert_array_equal(archive["history"], np.stack(state.history))
         with np.load(tmp_path / "ckpt" / GROUP_STATE_FILE) as archive:
@@ -414,63 +422,6 @@ class TestShardedLayout:
         tail = feed(resumed, cube, 0, N_DAYS)
         reference = feed(StreamingDetector(fitted, cube.users, group_map), cube, 0, N_DAYS)
         assert set(tail) == set(reference)
-
-    def test_sharded_save_partitions_users(self, tmp_path, cube, group_map):
-        from dataclasses import replace as dc_replace
-
-        model = CompoundBehaviorModel(
-            dc_replace(
-                ModelConfig(window=5, matrix_days=5, critic_n=2, autoencoder=TINY_AE),
-                n_shards=3,
-            )
-        )
-        model.fit(cube, group_map, DAYS[:25])
-        stream = StreamingDetector(model, cube.users, group_map)
-        feed(stream, cube, 0, 20)
-        save_checkpoint(stream, tmp_path / "ckpt")
-
-        manifest = json.loads((tmp_path / "ckpt" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == CHECKPOINT_VERSION
-        assert [s["file"] for s in manifest["shards"]] == [
-            shard_state_file(0), shard_state_file(1), shard_state_file(2),
-        ]
-        starts = [s["start"] for s in manifest["shards"]]
-        stops = [s["stop"] for s in manifest["shards"]]
-        assert starts[0] == 0 and stops[-1] == len(cube.users)
-        assert starts[1:] == stops[:-1]  # contiguous partition
-        for s in manifest["shards"]:
-            assert (tmp_path / "ckpt" / s["file"]).exists()
-        assert (tmp_path / "ckpt" / GROUP_STATE_FILE).exists()
-
-        # A stream at a different shard count restores the same state.
-        loaded = load_checkpoint(tmp_path / "ckpt")
-        original = stream.export_state()
-        for a, b in zip(loaded.state.history, original.history):
-            np.testing.assert_array_equal(a, b)
-        for (s1, w1), (s2, w2) in zip(loaded.state.sigma_buffer, original.sigma_buffer):
-            np.testing.assert_array_equal(s1, s2)
-            np.testing.assert_array_equal(w1, w2)
-
-    def test_resume_across_shard_counts(self, tmp_path, cube, group_map, fitted):
-        # Save at n_shards=1, resume into an n_shards=2 model: the digest
-        # ignores the layout knob and the scores stay bit-identical.
-        from dataclasses import replace as dc_replace
-
-        reference = feed(StreamingDetector(fitted, cube.users, group_map), cube, 0, N_DAYS)
-        cut = 18
-        dying = StreamingDetector(fitted, cube.users, group_map)
-        feed(dying, cube, 0, cut)
-        save_checkpoint(dying, tmp_path / "ckpt")
-
-        sharded_model = CompoundBehaviorModel(dc_replace(fitted.config, n_shards=2))
-        sharded_model.fit(cube, group_map, DAYS[:25])
-        resumed = resume_streaming(sharded_model, tmp_path / "ckpt")
-        tail = feed(resumed, cube, cut, N_DAYS)
-        expected_tail = {d: r for d, r in reference.items() if d >= DAYS[cut]}
-        assert set(tail) == set(expected_tail)
-        for day, result in tail.items():
-            for aspect in result.scores:
-                assert np.array_equal(result.scores[aspect], expected_tail[day].scores[aspect])
 
 
 class TestRetries:
@@ -623,7 +574,7 @@ class TestExtraSidecars:
     @pytest.mark.parametrize(
         "filename",
         ["cursor.json", "sub/state_x.json", "state.npz", GROUP_STATE_FILE,
-         "state_shard_0.npz"],
+         USER_STATE_FILE],
     )
     def test_invalid_extra_filenames_rejected(
         self, tmp_path, cube, group_map, fitted, filename

@@ -97,6 +97,54 @@ def test_attach_rejects_mismatched_cube(tmp_path, cube, fitted):
         attach_representation(loaded, other, None, DAYS[:20])
 
 
+def _edit_saved_config(directory, edit):
+    import json
+
+    config_path = directory / "config.json"
+    payload = json.loads(config_path.read_text())
+    edit(payload["config"])
+    config_path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda config: config.update(n_shards=3),
+        lambda config: config["autoencoder"].update(arena=True),
+    ],
+    ids=["model-config", "autoencoder-config"],
+)
+def test_load_drops_removed_config_keys(tmp_path, cube, fitted, edit):
+    # Models saved by older builds carry knobs this build removed.
+    save_model(fitted, tmp_path / "model")
+    _edit_saved_config(tmp_path / "model", edit)
+    loaded = load_model(tmp_path / "model")
+    assert loaded.config == fitted.config
+    attach_representation(loaded, cube, None, DAYS[:20])
+    test_days = fitted.valid_anchor_days(DAYS[20:])
+    original = fitted.score(test_days)
+    restored = loaded.score(test_days)
+    for aspect in original:
+        np.testing.assert_array_equal(original[aspect], restored[aspect])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda config: config.update(bogus=1),
+        lambda config: config["autoencoder"].update(bogus=1),
+    ],
+    ids=["config", "autoencoder"],
+)
+def test_load_rejects_unknown_config_keys(tmp_path, fitted, edit):
+    from repro.core.persistence import PersistenceError
+
+    save_model(fitted, tmp_path / "model")
+    _edit_saved_config(tmp_path / "model", edit)
+    with pytest.raises(PersistenceError, match="bogus"):
+        load_model(tmp_path / "model")
+
+
 # ---------------------------------------------------------------------------
 # Fault tolerance: saved artifacts must fail with typed errors, not
 # stack traces from deep inside NumPy/zipfile (issue 6 satellite).
