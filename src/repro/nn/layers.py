@@ -57,13 +57,16 @@ class Parameter:
     re-allocating in :meth:`Layer.cast` (the cast producing the same
     bits either way -- ``asarray(value, dtype)`` is the same conversion
     ``astype`` performs).
+
+    ``value`` is stored C-contiguous: the optimizers update it in place
+    through a flat view, which any other layout would make a copy.
     """
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray, dtype=np.float64):
         self.name = name
-        self.value = np.asarray(value, dtype=np.dtype(dtype))
+        self.value = np.asarray(value, dtype=np.dtype(dtype), order="C")
         self.grad = np.zeros_like(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -113,7 +116,7 @@ class Layer:
         for p in self.parameters():
             if p.name not in state:
                 raise KeyError(f"missing parameter {p.name!r} in state dict")
-            loaded = np.asarray(state[p.name], dtype=p.value.dtype)
+            loaded = np.asarray(state[p.name], dtype=p.value.dtype, order="C")
             if loaded.shape != p.value.shape:
                 raise ValueError(
                     f"shape mismatch for {p.name!r}: "
@@ -335,12 +338,10 @@ class ReLU(Layer):
         ws = ws or Workspace()
         mask = ws.acquire(x.shape, np.bool_)
         np.greater(x, 0, out=mask)
-        self._mask = mask
-        # where(mask, x, 0.0) without np.where: zero-fill, then copy the
-        # kept elements (+0.0 in the rejected slots).
+        self._mask = mask  # the backward pass's gate
+        # max(x, 0) maps -0.0 to +0.0 and propagates NaN.
         out = ws.acquire(x.shape, x.dtype)
-        out.fill(0.0)
-        np.copyto(out, x, where=mask)
+        np.maximum(x, 0, out=out)
         return out
 
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
@@ -352,11 +353,13 @@ class ReLU(Layer):
 
 
 class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
+    """Leaky ReLU with configurable negative slope ``0 <= alpha <= 1``."""
 
     def __init__(self, alpha: float = 0.01):
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
-        self._mask: Optional[np.ndarray] = None
+        self._slope: Optional[np.ndarray] = None
 
     def forward(
         self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
@@ -365,22 +368,22 @@ class LeakyReLU(Layer):
         ws = ws or Workspace()
         mask = ws.acquire(x.shape, np.bool_)
         np.greater(x, 0, out=mask)
-        self._mask = mask
+        # slope = where(mask, 1, alpha): max(mask, alpha) is 1 on the kept
+        # elements and alpha on the others because 0 <= alpha <= 1.  It is
+        # built in x's dtype (alpha rounds to float32 there) and serves
+        # both passes: x * 1 is exact and x * alpha is alpha * x.
+        slope = ws.acquire(x.shape, x.dtype)
+        np.maximum(mask, x.dtype.type(self.alpha), out=slope)
+        self._slope = slope
         out = ws.acquire(x.shape, x.dtype)
-        np.multiply(x, self.alpha, out=out)
-        np.copyto(out, x, where=mask)
+        np.multiply(x, slope, out=out)
         return out
 
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
-        if self._mask is None:
+        if self._slope is None:
             raise RuntimeError("backward() called before forward()")
-        ws = ws or Workspace()
-        # The slope is built in the gradient's dtype so a float32 network
-        # keeps float32 gradients (alpha rounds to float32 there).
-        slope = ws.acquire(grad_out.shape, grad_out.dtype)
-        slope.fill(self.alpha)
-        np.copyto(slope, 1.0, where=self._mask)
-        np.multiply(grad_out, slope, out=grad_out)
+        del ws
+        np.multiply(grad_out, self._slope, out=grad_out)
         return grad_out
 
 
@@ -402,14 +405,15 @@ class Sigmoid(Layer):
         np.abs(x, out=t)
         np.negative(t, out=t)
         np.exp(t, out=t)
-        den = ws.acquire(x.shape, x.dtype)
-        np.add(t, 1.0, out=den)
         out = ws.acquire(x.shape, x.dtype)
-        np.divide(t, den, out=out)  # negative branch: e^x / (1 + e^x)
+        np.add(t, 1.0, out=out)  # the denominator, divided in place
+        # Numerator: 1 on the positive branch (1 / (1 + e^-x)) and t on the
+        # negative one (e^x / (1 + e^x)).  max(t, mask) is exactly that,
+        # because 0 <= t <= 1.
         mask = ws.acquire(x.shape, np.bool_)
         np.greater_equal(x, 0, out=mask)
-        np.divide(1.0, den, out=t)  # positive branch: 1 / (1 + e^-x)
-        np.copyto(out, t, where=mask)
+        np.maximum(t, mask, out=t)
+        np.divide(t, out, out=out)
         self._out = out
         return out
 

@@ -102,7 +102,8 @@ class ReLU:
 
     def forward(self, x, training):
         self.mask = x > 0
-        return np.where(self.mask, x, 0.0)
+        # -0.0 maps to +0.0 and NaN propagates.
+        return np.maximum(x, 0.0)
 
     def backward(self, grad):
         return grad * self.mask

@@ -28,12 +28,13 @@ from repro.nn.layers import (
     Dropout,
     LeakyReLU,
     Linear,
+    Parameter,
     ReLU,
     Sigmoid,
     Tanh,
 )
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Adam, get_optimizer
+from repro.nn.optimizers import BLOCK_BYTES, Adam, get_optimizer
 from repro.nn.workspace import Workspace
 
 from . import reference
@@ -327,6 +328,131 @@ class TestGradcheckMatrix:
 
         assert np.array_equal(out_ref, out_kernel)
         assert np.array_equal(g_ref, g_kernel)
+
+
+def _bits_equal(a, b):
+    """Same dtype, shape and bytes: signed zeros and NaNs included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+DTYPES = ("float32", "float64")
+
+
+class TestActivationEdgeCases:
+    """Signed zeros, infinities, NaN and exp underflow, pinned to the oracle."""
+
+    EDGES = [-0.0, 0.0, np.inf, -np.inf, np.nan, -1.5, 2.5, 1e-30, -1e-30]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_relu_matches_oracle_on_edges(self, dtype):
+        x = np.array([self.EDGES], dtype=dtype)
+        grad = np.arange(1, x.size + 1, dtype=dtype).reshape(x.shape)
+        layer, ref = ReLU(), reference.mirror(ReLU())
+        out = layer.forward(x)
+        assert _bits_equal(out, ref.forward(x, True))
+        assert _bits_equal(layer.backward(grad.copy()), ref.backward(grad))
+        # ReLU(-0.0) is +0.0 and NaN propagates.
+        assert out[0, 0] == 0 and not np.signbit(out[0, 0])
+        assert np.isnan(out[0, 4])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_sigmoid_matches_oracle_on_edges(self, dtype):
+        # exp(-|x|) underflows to 0 below about -104 (float32) and
+        # -746 (float64); both branches must still match the oracle.
+        finfo = np.finfo(dtype)
+        edges = [-0.0, 0.0, np.inf, -np.inf, -1.5, 2.5, 1e-30, -1e-30]
+        deep = [-90.0, -104.0, -110.0, -700.0, -746.0, -800.0, finfo.min, finfo.max]
+        x = np.array([edges + deep], dtype=dtype)
+        out = Sigmoid().forward(x)
+        assert _bits_equal(out, reference.mirror(Sigmoid()).forward(x, True))
+        assert list(out[0, :4]) == [0.5, 0.5, 1.0, 0.0]
+        assert out[0, -2] == 0.0 and not np.signbit(out[0, -2])
+        # NaN stays NaN (its sign bit is not part of the contract).
+        assert np.isnan(Sigmoid().forward(np.array([[np.nan]], dtype=dtype))).all()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.2, 1 / 3, 0.5, 1.0])
+    def test_leaky_relu_matches_oracle(self, alpha, dtype):
+        x = np.concatenate(
+            [np.array(self.EDGES), np.random.default_rng(3).normal(size=40)]
+        ).astype(dtype).reshape(7, 7)
+        grad = np.random.default_rng(4).normal(size=x.shape).astype(dtype)
+        layer = LeakyReLU(alpha)
+        ref = reference.mirror(layer)
+        with np.errstate(invalid="ignore"):  # alpha = 0 times -inf is NaN
+            assert _bits_equal(layer.forward(x), ref.forward(x, True))
+        assert _bits_equal(layer.backward(grad.copy()), ref.backward(grad))
+
+    @pytest.mark.parametrize("alpha", [-0.01, 1.5, np.nan])
+    def test_leaky_relu_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            LeakyReLU(alpha)
+
+
+class TestBlockedOptimizerStep:
+    """The cache-blocked step equals the oracle's whole-array update."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_parameter_spanning_blocks(self, optimizer, dtype):
+        rng = np.random.default_rng(29)
+        # Full blocks and a ragged tail, beside a one-block bias.
+        block = BLOCK_BYTES // np.dtype(dtype).itemsize
+        shape = (2 * block + 4899) // 263, 263
+        assert shape[0] * shape[1] > 2 * block and (shape[0] * shape[1]) % block
+        params = [
+            Parameter("weight", rng.normal(size=shape), dtype=dtype),
+            Parameter("bias", rng.normal(size=263), dtype=dtype),
+        ]
+        ref_params = [reference.Param(p.value) for p in params]
+        opt = get_optimizer(optimizer)
+        ref_opt = reference.OPTIMIZERS[optimizer]()
+        ws = Workspace()
+        for _ in range(4):
+            for p, q in zip(params, ref_params):
+                q.grad = rng.normal(size=p.value.shape).astype(dtype)
+                p.grad = q.grad.copy()
+            ws.reset()
+            opt.step(params, ws=ws)
+            ref_opt.step(ref_params)
+        for p, q in zip(params, ref_params):
+            assert _bits_equal(p.value, q.value)
+        if optimizer == "adam":
+            assert [opt._state[id(p)]["t"] for p in params] == [4, 4]
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_fortran_ordered_state_dict_trains(self, optimizer):
+        layer = Dense(5)
+        layer.build(7, np.random.default_rng(2))
+        weight = np.asfortranarray(np.random.default_rng(3).normal(size=(7, 5)))
+        layer.load_state_dict({"weight": weight, "bias": np.ones(5)})
+        assert layer.weight.value.flags.c_contiguous
+        ref_params = reference.mirror(layer).params()
+        params = [layer.weight, layer.bias]
+        opt = get_optimizer(optimizer)
+        ref_opt = reference.OPTIMIZERS[optimizer]()
+        for step in range(3):
+            g = np.random.default_rng(10 + step).normal(size=(7, 5))
+            for p in params + ref_params:
+                p.grad = g if p.value.ndim == 2 else g[0]
+            opt.step(params)
+            ref_opt.step(ref_params)
+        assert not np.array_equal(layer.weight.value, weight)
+        for p, q in zip(params, ref_params):
+            assert _bits_equal(p.value, q.value)
+
+    def test_parameter_is_stored_c_contiguous(self):
+        value = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        param = Parameter("w", value)
+        assert param.value.flags.c_contiguous
+        assert np.array_equal(param.value, value)
+
+    def test_step_rejects_non_contiguous_value(self):
+        param = Parameter("w", np.zeros((4, 6)))
+        param.value = param.value[:, ::2]
+        param.grad = np.ones((4, 3))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            get_optimizer("sgd").step([param])
 
 
 class TestParameterDtype:
