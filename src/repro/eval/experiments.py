@@ -35,7 +35,7 @@ from repro.datagen.enterprise import (
     EnterpriseDataset,
     simulate_enterprise_dataset,
 )
-from repro.datagen.org import build_organization
+from repro.datagen.org import Organization, build_organization
 from repro.datagen.scenarios import (
     inject_scenario1,
     inject_scenario2,
@@ -210,12 +210,13 @@ def _bench_jobs() -> int:
     return int(os.environ.get("ACOBE_BENCH_JOBS", "1"))
 
 
-def cert_config(scale: Optional[str] = None) -> CertBenchmarkConfig:
+def cert_config(scale: Optional[str] = None, seed: Optional[int] = None) -> CertBenchmarkConfig:
     """Look up a CERT preset; defaults to $ACOBE_BENCH_SCALE or 'default'.
 
     ``$ACOBE_BENCH_JOBS`` overrides the preset's ensemble-training
     worker count (results are identical at any value; see
-    :mod:`repro.nn.parallel`).
+    :mod:`repro.nn.parallel`); ``seed``, when given, overrides the
+    preset's simulation seed.
     """
     scale = scale or os.environ.get("ACOBE_BENCH_SCALE", "default")
     try:
@@ -226,7 +227,15 @@ def cert_config(scale: Optional[str] = None) -> CertBenchmarkConfig:
     jobs = _bench_jobs()
     if jobs != config.n_jobs:
         config = replace(config, n_jobs=jobs)
+    if seed is not None:
+        config = replace(config, seed=seed)
     return config
+
+
+def cert_population(config: CertBenchmarkConfig) -> Tuple[Organization, SimulationCalendar]:
+    """The organization and calendar a CERT preset simulates."""
+    organization = build_organization(list(config.department_sizes), seed=config.seed)
+    return organization, SimulationCalendar.with_default_holidays(config.start, config.end)
 
 
 @dataclass
@@ -273,8 +282,7 @@ def build_cert_benchmark(
     abnormal instances (two per scenario, as in r6.1 + r6.2).
     """
     config = config or cert_config(scale)
-    organization = build_organization(list(config.department_sizes), seed=config.seed)
-    calendar = SimulationCalendar.with_default_holidays(config.start, config.end)
+    organization, calendar = cert_population(config)
     dataset = simulate_cert_dataset(organization, calendar, seed=config.seed)
 
     victims: List[str] = []

@@ -79,14 +79,6 @@ class TestCommands:
         assert "injected insiders:" in out
         assert (tmp_path / "device.csv").exists()
 
-    def test_stream_resume_requires_checkpoint_dir(self, capsys):
-        assert main(["stream", "--resume"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
-    def test_stream_rejects_bad_checkpoint_interval(self, capsys):
-        assert main(["stream", "--checkpoint-every", "0"]) == 2
-        assert "--checkpoint-every" in capsys.readouterr().err
-
     def test_stream_resume_without_model_fails_cleanly(self, tmp_path, capsys):
         assert main(["stream", "--resume", "--checkpoint-dir", str(tmp_path)]) == 2
         assert "no saved model" in capsys.readouterr().err
@@ -128,10 +120,6 @@ class TestIngestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["ingest", "--late-policy", "vanish"])
 
-    def test_ingest_resume_requires_checkpoint_dir(self, capsys):
-        assert main(["ingest", "--resume"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
     def test_ingest_quarantine_policy_requires_path(self, capsys):
         assert main(["ingest", "--late-policy", "quarantine-file"]) == 2
         assert "quarantine" in capsys.readouterr().err
@@ -139,3 +127,31 @@ class TestIngestParser:
     def test_ingest_resume_without_model_fails_cleanly(self, tmp_path, capsys):
         assert main(["ingest", "--resume", "--checkpoint-dir", str(tmp_path)]) == 2
         assert "no saved model" in capsys.readouterr().err
+
+
+_STOP_FLAGS = {"stream": "--stop-after-days", "ingest": "--stop-after-events"}
+
+
+class TestRunFlagValidation:
+    """The run driver's flag checks, shared by ``stream`` and ``ingest``.
+
+    Each rejection exits 2 before any data is simulated or loaded.
+    """
+
+    @pytest.mark.parametrize("command", sorted(_STOP_FLAGS))
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--resume"], "--checkpoint-dir"),
+            (["--checkpoint-every", "0"], "--checkpoint-every"),
+            (["--export-every", "0"], "--export-every"),
+            (["--top", "-1"], "--top"),
+            (["STOP", "-1"], "STOP"),
+        ],
+        ids=["resume-without-dir", "checkpoint-every-0", "export-every-0", "top-negative",
+             "stop-after-negative"],
+    )
+    def test_rejects_with_exit_2(self, command, argv, flag, capsys):
+        stop = _STOP_FLAGS[command]
+        assert main([command, *[stop if a == "STOP" else a for a in argv]]) == 2
+        assert (stop if flag == "STOP" else flag) in capsys.readouterr().err
