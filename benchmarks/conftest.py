@@ -6,9 +6,9 @@ extraction, autoencoder training) happens once per model per session.
 
 Scale is controlled by ``ACOBE_BENCH_SCALE`` (small | default | paper);
 ``default`` fits a laptop core, ``paper`` matches the paper's 929-user
-population and 512/256/128/64 autoencoders.  ``ACOBE_BENCH_JOBS`` fans
-ensemble training out over that many worker processes (results are
-identical at any value).
+population and 512/256/128/64 autoencoders.  Ensemble training uses
+the library default, one forked worker per aspect once the fit is
+large enough (results are identical at any worker count).
 
 Every test collected from this directory carries the ``benchmark``
 marker, so ``pytest -m "not benchmark"`` excludes the suite wholesale.

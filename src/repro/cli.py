@@ -74,8 +74,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser, export_unit: Optional[st
         help="compute dtype of the autoencoders (default: the preset's); float32 is "
         "NOT bit-comparable with float64 runs (docs/PERFORMANCE.md)",
     )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="ensemble-training workers (0 = all cores); results are identical")
+    parser.add_argument("--jobs", type=int, default=0,
+                        help="ensemble-training workers (default 0 = one per aspect, "
+                        "1 = in-process); results are identical")
     parser.add_argument("--top", type=int, default=10, help="list length to print")
     parser.add_argument("--trace", action="store_true",
                         help="enable telemetry and print the per-stage span tree after the run")
@@ -186,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("attack", choices=("zeus", "wannacry"))
     p_case.add_argument("--scale", default="small", choices=_SCALES)
     p_case.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for ensemble training (1 = serial, 0 = all cores)",
+        "--jobs", type=int, default=0,
+        help="worker processes for ensemble training (default 0 = one per aspect, 1 = serial)",
     )
 
     sub.add_parser("presets", help="show the benchmark scale presets")
@@ -308,9 +309,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
 
     from repro.eval.experiments import run_case_study
 
-    config = case_study_config(args.attack, args.scale)
-    if args.jobs != config.n_jobs:
-        config = replace(config, n_jobs=args.jobs)
+    config = replace(case_study_config(args.attack, args.scale), n_jobs=args.jobs)
     print(f"simulating {config.n_employees} employees, attack on {config.attack_day} ...")
     benchmark = build_case_study(config)
     result = run_case_study(benchmark)

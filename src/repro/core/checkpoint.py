@@ -61,7 +61,7 @@ import io
 import json
 import time
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Container, Dict, Mapping, Optional, Sequence, TypeVar, Union
@@ -140,12 +140,12 @@ def config_digest(config: ModelConfig) -> str:
     training is deterministic in the config, see
     :mod:`repro.nn.parallel`).
 
-    ``n_jobs`` stays in the digest for compatibility with already
-    written checkpoints (changing it would orphan them).  The
-    autoencoder ``dtype`` stays in too: float32 and float64 runs are
-    *not* numerically interchangeable.
+    ``n_jobs`` is numerically irrelevant; the digest records it as 1,
+    the default when checkpoints were first written, so those resume
+    under any worker count.  The autoencoder ``dtype`` stays in:
+    float32 and float64 runs are *not* numerically interchangeable.
     """
-    canonical = json.dumps(asdict(config), sort_keys=True, default=list)
+    canonical = json.dumps(asdict(replace(config, n_jobs=1)), sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

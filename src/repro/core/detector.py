@@ -53,9 +53,9 @@ class ModelConfig:
     """Configuration of a compound-behaviour model.
 
     ``n_jobs`` controls how many worker processes train the per-aspect
-    ensemble (1 = in-process serial, < 1 = all cores).  Training results
-    are bit-identical for every value -- each aspect's autoencoder seed
-    is derived from ``autoencoder.seed`` with
+    ensemble (< 1 = one per aspect, the default; 1 = in-process serial).
+    Training results are bit-identical for every value -- each aspect's
+    autoencoder seed is derived from ``autoencoder.seed`` with
     :func:`repro.nn.parallel.derive_seed`, so the trained weights depend
     only on the configuration, never on scheduling.
     """
@@ -71,7 +71,7 @@ class ModelConfig:
     all_in_one: bool = False
     critic_n: int = 3
     train_stride: int = 1
-    n_jobs: int = 1
+    n_jobs: int = 0
     autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
 
     def __post_init__(self) -> None:
@@ -357,7 +357,7 @@ def make_acobe(
     matrix_days: Optional[int] = None,
     critic_n: int = 3,
     train_stride: int = 1,
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """ACOBE as evaluated in Section V (N=3, omega=30)."""
@@ -381,7 +381,7 @@ def make_no_group(
     matrix_days: Optional[int] = None,
     critic_n: int = 3,
     train_stride: int = 1,
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The No-Group ablation: ACOBE without the group-behaviour block."""
@@ -404,7 +404,7 @@ def make_one_day(
     ae_config: Optional[AutoencoderConfig] = None,
     critic_n: int = 3,
     train_stride: int = 1,
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The 1-Day ablation: normalized single-day occurrences."""
@@ -429,7 +429,7 @@ def make_all_in_one(
     matrix_days: Optional[int] = None,
     critic_n: int = 1,
     train_stride: int = 1,
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The All-in-1 ablation: one autoencoder over every feature."""
@@ -452,7 +452,7 @@ def make_baseline(
     ae_config: Optional[AutoencoderConfig] = None,
     critic_n: int = 3,
     train_stride: int = 1,
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """Liu et al.'s Baseline (fit it with the coarse-grained cube).
@@ -482,7 +482,7 @@ def make_base_ff(
     ae_config: Optional[AutoencoderConfig] = None,
     critic_n: int = 3,
     train_stride: int = 1,
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """Base-FF: the Baseline framework on ACOBE's fine-grained features.

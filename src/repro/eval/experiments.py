@@ -83,8 +83,8 @@ class CertBenchmarkConfig:
     autoencoder: AutoencoderConfig
     train_stride: int = 1
     seed: int = 7
-    #: worker processes for ensemble training (1 = serial, < 1 = all cores)
-    n_jobs: int = 1
+    #: worker processes for ensemble training (< 1 = one per aspect, 1 = serial)
+    n_jobs: int = 0
     start: date = CERT_START
     #: 1 = alternate scenario 1/2 across departments; 2 = inject both
     #: scenarios in every department (the r6.1+r6.2 structure: each
@@ -205,18 +205,10 @@ CERT_PAPER = CertBenchmarkConfig(
 _CERT_PRESETS = {"small": CERT_SMALL, "default": CERT_DEFAULT, "paper": CERT_PAPER}
 
 
-def _bench_jobs() -> int:
-    """Worker count for benchmark runs: $ACOBE_BENCH_JOBS, default serial."""
-    return int(os.environ.get("ACOBE_BENCH_JOBS", "1"))
-
-
 def cert_config(scale: Optional[str] = None, seed: Optional[int] = None) -> CertBenchmarkConfig:
     """Look up a CERT preset; defaults to $ACOBE_BENCH_SCALE or 'default'.
 
-    ``$ACOBE_BENCH_JOBS`` overrides the preset's ensemble-training
-    worker count (results are identical at any value; see
-    :mod:`repro.nn.parallel`); ``seed``, when given, overrides the
-    preset's simulation seed.
+    ``seed``, when given, overrides the preset's simulation seed.
     """
     scale = scale or os.environ.get("ACOBE_BENCH_SCALE", "default")
     try:
@@ -224,9 +216,6 @@ def cert_config(scale: Optional[str] = None, seed: Optional[int] = None) -> Cert
     except KeyError:
         known = ", ".join(sorted(_CERT_PRESETS))
         raise ValueError(f"unknown scale {scale!r}; expected one of: {known}") from None
-    jobs = _bench_jobs()
-    if jobs != config.n_jobs:
-        config = replace(config, n_jobs=jobs)
     if seed is not None:
         config = replace(config, seed=seed)
     return config
@@ -478,8 +467,8 @@ class CaseStudyConfig:
     autoencoder: AutoencoderConfig
     critic_n: int = 3
     train_stride: int = 1
-    #: worker processes for ensemble training (1 = serial, < 1 = all cores)
-    n_jobs: int = 1
+    #: worker processes for ensemble training (< 1 = one per aspect, 1 = serial)
+    n_jobs: int = 0
     seed: int = 13
     start: date = date(2021, 7, 1)
 
@@ -553,7 +542,6 @@ def case_study_config(attack: str, scale: Optional[str] = None) -> CaseStudyConf
     return CaseStudyConfig(
         name=f"{attack}-{scale}",
         attack=attack,
-        n_jobs=_bench_jobs(),
         **kwargs,
     )
 

@@ -90,7 +90,7 @@ MODEL_FACTORIES = {
 STREAMING_MODELS = ("acobe", "no-group", "all-in-one")
 
 
-def make_model(name: str, config: CertBenchmarkConfig, n_jobs: int = 1, dtype=None):
+def make_model(name: str, config: CertBenchmarkConfig, n_jobs: int = 0, dtype=None):
     """An unfitted model of the zoo, configured from a CERT preset."""
     kwargs = dict(ae_config=config.autoencoder, train_stride=config.train_stride,
                   n_jobs=n_jobs, dtype=dtype)
@@ -150,7 +150,7 @@ class RunOptions:
     """What the driver does around a source (the shared CLI flags)."""
 
     model: str = "acobe"
-    jobs: int = 1
+    jobs: int = 0
     dtype: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = False
@@ -235,6 +235,10 @@ class Source:
         return []
 
     def out_fields(self) -> Dict[str, Any]:
+        return {}
+
+    def binding(self) -> Dict[str, Any]:
+        """Checkpoint-manifest entries beyond the dataset: the arrival order."""
         return {}
 
 
@@ -371,6 +375,12 @@ class EventSource(Source):
     def out_fields(self) -> Dict[str, Any]:
         return {"allowed_lateness_days": self.ingest_config.allowed_lateness_days}
 
+    def binding(self) -> Dict[str, Any]:
+        # A resume skips the deliveries already consumed, so it must replay
+        # the same events in the same order.
+        logs = str(Path(self.logs).resolve()) if self.logs else None
+        return {"arrival": {"logs": logs, "shuffle_seed": self.shuffle_seed}}
+
     def report_meta(self, consumed: int, scored: int) -> Dict[str, Any]:
         ingestor, config = self.ingestor, self.ingest_config
         return {"allowed_lateness_days": config.allowed_lateness_days,
@@ -427,19 +437,21 @@ def run(source: Source, options: RunOptions) -> int:
     consumed = 0
     failed = False
     try:
-        feed = source.load()
         checkpoint_dir = Path(options.checkpoint_dir) if options.checkpoint_dir else None
         model_dir = checkpoint_dir / "model" if checkpoint_dir else None
         state_dir = checkpoint_dir / source.name if checkpoint_dir else None
-        # Bound to the checkpoint so --resume against a different preset or
-        # seed fails typed instead of feeding different data into the same
-        # rolling state.
-        binding = {"dataset": {"preset": source.config.name, "seed": source.config.seed}}
-        if options.resume:
+        if options.resume:  # before the feed: a missing model fails fast
             try:
                 model = load_model(model_dir)
             except FileNotFoundError:
                 return _error(f"no saved model at {model_dir}; {_RUN_FRESH}", 2)
+        feed = source.load()
+        # Bound to the checkpoint so --resume against a different preset,
+        # seed or arrival order fails typed instead of feeding different
+        # data into the same rolling state.
+        binding = {"dataset": {"preset": source.config.name, "seed": source.config.seed},
+                   **source.binding()}
+        if options.resume:
             attach_representation(model, feed.cube, feed.group_map, feed.train_days)
             try:
                 source.resume(model, state_dir, options.on_bad_day, binding)

@@ -21,9 +21,9 @@ top of numpy with hand-written, gradient-checked backpropagation:
 * :mod:`repro.nn.gradcheck` -- finite-difference gradient checking used by
   the test-suite to validate every layer's backward pass.
 * :mod:`repro.nn.parallel` -- deterministic fan-out of per-aspect
-  autoencoder training over a process pool.
+  autoencoder training over forked workers, BLAS pinned to one thread.
 * :mod:`repro.nn.serialization` -- bit-exact ``.npz`` save/load of
-  trained networks (also the worker->parent weight transport).
+  trained networks.
 """
 
 from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
@@ -45,16 +45,12 @@ from repro.nn.optimizers import SGD, Adadelta, Adam, Momentum, Optimizer, RMSPro
 from repro.nn.parallel import (
     AspectTask,
     TrainedAspect,
+    blas_threads,
     derive_seed,
     resolve_n_jobs,
     train_ensemble,
 )
-from repro.nn.serialization import (
-    load_network,
-    network_from_bytes,
-    network_to_bytes,
-    save_network,
-)
+from repro.nn.serialization import load_network, save_network
 
 __all__ = [
     "Adadelta",
@@ -85,13 +81,12 @@ __all__ = [
     "TelemetryCallback",
     "TrainedAspect",
     "TrainingHistory",
+    "blas_threads",
     "derive_seed",
     "input_dim_of",
     "is_row_source",
     "load_network",
     "n_samples_of",
-    "network_from_bytes",
-    "network_to_bytes",
     "resolve_n_jobs",
     "save_network",
     "train_ensemble",

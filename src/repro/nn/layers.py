@@ -400,10 +400,11 @@ class Sigmoid(Layer):
         ws = ws or Workspace()
         # Numerically stable piecewise formulation without fancy indexing:
         # exp(-|x|) equals exp(-x) on the positive branch and exp(x) on
-        # the negative one.
+        # the negative one.  0 - |x| rather than -|x|: negation flips a
+        # NaN's sign bit, subtraction keeps the NaN operand's.
         t = ws.acquire(x.shape, x.dtype)
         np.abs(x, out=t)
-        np.negative(t, out=t)
+        np.subtract(0, t, out=t)
         np.exp(t, out=t)
         out = ws.acquire(x.shape, x.dtype)
         np.add(t, 1.0, out=out)  # the denominator, divided in place

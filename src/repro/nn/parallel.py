@@ -2,8 +2,10 @@
 
 ACOBE's detector trains one autoencoder per behavioural aspect.  The
 aspects are independent -- each training run owns its data, its config
-and its RNG -- so the ensemble fans out over a
-:class:`concurrent.futures.ProcessPoolExecutor` with no shared state.
+and its RNG -- so by default the ensemble fans out over a ``fork``
+:class:`concurrent.futures.ProcessPoolExecutor`, one worker per task
+(the aspects are unequal in size, so fewer workers leave a core idle),
+unless the work is too small to pay for the forks (:data:`_MIN_FORK_WORK`).
 
 Determinism is an explicit contract:
 
@@ -11,20 +13,23 @@ Determinism is an explicit contract:
   whose ``seed`` fully determines weight initialization and mini-batch
   shuffling (see :func:`derive_seed` for how the detector derives one
   seed per aspect from the model-level seed).
+* Every task trains with BLAS pinned to one thread
+  (:func:`blas_threads`), in-process and in workers: the thread count
+  changes float32 bits, and workers must not each run a BLAS pool.
 * Workers never touch a shared RNG, so the result of
   :func:`train_ensemble` is bit-identical for any ``n_jobs`` -- serial
   (``n_jobs=1``), parallel, and the fallback path all produce the same
   weights, the same :class:`TrainingHistory` and therefore the same
   anomaly scores.
-* Trained weights travel back from workers through the
-  :mod:`repro.nn.serialization` ``.npz`` round-trip
-  (:func:`~repro.nn.serialization.network_to_bytes`), which preserves
-  every float bit, including BatchNormalization running statistics.
+* Workers read their task from memory inherited through ``fork`` (no
+  training data is pickled) and return each layer's raw ``state_dict``
+  arrays, which the parent loads with ``load_state_dict``: every float
+  bit survives, BatchNormalization running statistics included.
 
 Telemetry (:mod:`repro.obs`) crosses the process boundary the same way:
 when the parent's telemetry is enabled, each worker records its own
 span tree and metrics into a fresh per-task :class:`~repro.obs.Telemetry`,
-serializes the snapshot alongside the weights, and the parent merges
+returns the snapshot alongside the weights, and the parent merges
 every snapshot back in -- so parallel training is exactly as
 inspectable as serial, and merged counters equal the serial run's
 (``nn.epochs_total`` etc. are sums of per-task contributions).
@@ -40,31 +45,74 @@ same-process serial path, which is result-identical by construction.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from functools import lru_cache
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
 from repro.nn.data import input_dim_of, is_row_source, n_samples_of
 from repro.nn.network import TrainingHistory
-from repro.nn.serialization import network_from_bytes, network_to_bytes
 from repro.obs import Telemetry, get_telemetry, set_telemetry
 
 __all__ = [
     "AspectTask",
     "TrainedAspect",
+    "blas_threads",
     "derive_seed",
-    "map_parallel",
     "resolve_n_jobs",
     "train_ensemble",
 ]
 
-_ItemT = TypeVar("_ItemT")
-_ResultT = TypeVar("_ResultT")
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count functions, or None.
+
+    Looked up by the name ``numpy.show_config`` reports for numpy's BLAS
+    (``scipy-openblas`` exports ``scipy_openblas_*``, a plain OpenBLAS
+    ``openblas_*``; 64-bit-integer builds add a ``64_`` suffix), through
+    a numpy extension module that links it.
+    """
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, KeyError, OSError, TypeError):
+        return None
+    prefix = "scipy_openblas" if name.startswith("scipy") else "openblas"
+    for suffix in ("64_", ""):
+        get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def blas_threads(n: int = 1) -> Iterator[None]:
+    """Run the block with BLAS on ``n`` threads; restore the old count after.
+
+    A no-op where numpy's BLAS exposes no OpenBLAS thread control.
+    """
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def derive_seed(base_seed: Optional[int], index: int) -> Optional[int]:
@@ -97,8 +145,7 @@ class AspectTask:
 
     ``data`` is either a dense ``(n_samples, input_dim)`` matrix or a
     row source (:mod:`repro.nn.data`, e.g. a compound-matrix view) that
-    gathers mini-batches lazily; row sources pickle at their compact
-    size, so fan-out never ships a materialized training tensor.
+    gathers mini-batches lazily; workers read it through ``fork``.
     """
 
     name: str
@@ -128,82 +175,79 @@ class TrainedAspect:
 
 
 def resolve_n_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
-    """Effective worker count: ``n_jobs < 1`` means "all cores".
+    """Effective worker count: ``n_jobs < 1`` means one worker per task.
 
-    The result is clamped to ``[1, n_tasks]`` -- spawning more workers
-    than aspects only costs fork overhead.
+    A positive value caps the count (1 and ``None`` train in-process);
+    the result is clamped to ``[1, n_tasks]``.
     """
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if n_jobs is None:
-        n_jobs = 1
-    if n_jobs < 1:
-        n_jobs = os.cpu_count() or 1
-    return max(1, min(n_jobs, n_tasks))
+        return 1
+    return n_tasks if n_jobs < 1 else min(n_jobs, n_tasks)
 
 
-def _train_serial(task: AspectTask, verbose: bool = False) -> TrainedAspect:
-    """Train one task in the current process."""
+def _train(task: AspectTask, ae: Autoencoder, verbose: bool = False) -> TrainingHistory:
+    """Fit ``ae`` on one task in the current process, BLAS on one thread."""
     telemetry = get_telemetry()
-    ae = Autoencoder(input_dim=input_dim_of(task.data), config=task.config)
     with telemetry.span(
         "train.aspect",
         aspect=task.name,
         samples=n_samples_of(task.data),
         input_dim=ae.input_dim,
-    ) as span:
+    ) as span, blas_threads(1):
         history = ae.fit(task.data, verbose=verbose)
         span.annotate(epochs_trained=history.epochs_trained)
     telemetry.counter("train.aspects_total").inc()
     if history.loss:
         telemetry.histogram("train.final_loss").observe(history.loss[-1])
-    return TrainedAspect(name=task.name, autoencoder=ae, history=history)
+    return history
 
 
-def _train_in_worker(
-    task: AspectTask,
-) -> Tuple[str, TrainingHistory, bytes, Optional[dict]]:
-    """Worker entry point: train and ship weights + telemetry back.
+#: Training work (trainable scalars x samples x epochs, summed over the
+#: tasks) below which the default ``n_jobs`` trains in-process: a fork
+#: costs the parent ~0.1 s of page-table copies and later write faults
+#: (docs/PERFORMANCE.md section 9), which smaller fits do not win back.
+_MIN_FORK_WORK = 3e9
 
-    Module-level so it pickles under every start method.  The weight
-    payload is the serialization archive rather than the Autoencoder
-    object itself, keeping the IPC surface down to a documented,
-    versionable format.  When the parent's telemetry is enabled (the
-    state is inherited through ``fork``), the task trains under a fresh
-    worker-local :class:`~repro.obs.Telemetry` whose snapshot travels
-    back as the fourth element for the parent to merge.
+#: ``(tasks, autoencoders, verbose)`` of each fan-out in flight.  Workers
+#: are forked while their fan-out is registered here and train their
+#: inherited copy of its autoencoder, so no training data is pickled.
+_FANOUTS: Dict[int, Tuple[List[AspectTask], List[Autoencoder], bool]] = {}
+_FANOUT_KEYS = count()
+
+
+def _train_in_worker(key: int, index: int) -> Tuple[TrainingHistory, List[dict], Optional[dict]]:
+    """Worker entry point: train task ``index`` of fan-out ``key``.
+
+    Returns the history, each layer's ``state_dict`` and, when the
+    parent's telemetry is enabled (inherited through ``fork``), the
+    snapshot of the fresh worker-local :class:`~repro.obs.Telemetry` the
+    task trained under, for the parent to merge.
     """
-    parent = get_telemetry()
-    if not parent.enabled:
-        trained = _train_serial(task)
-        return task.name, trained.history, network_to_bytes(trained.autoencoder.network), None
-    # The worker continues the parent's trace: same run_id, the parent's
-    # innermost open span (fork-inherited) becomes the worker roots'
-    # parent, and any log events buffer in the snapshot for the parent's
-    # sink to drain on merge.
-    context = parent.current_context()
-    local = Telemetry(
-        enabled=True,
-        trace_memory=parent.trace_memory,
-        run_id=parent.run_id,
-        parent_context={k: v for k, v in context.items() if k != "run_id"},
-    )
-    local.capture_logs = parent.log_sink is not None or parent.capture_logs
+    tasks, autoencoders, verbose = _FANOUTS[key]
+    task, ae = tasks[index], autoencoders[index]
+    parent = local = get_telemetry()
+    if parent.enabled:
+        # The worker continues the parent's trace: same run_id, the
+        # parent's innermost open span (fork-inherited) becomes the worker
+        # roots' parent, and any log events buffer in the snapshot for the
+        # parent's sink to drain on merge.
+        context = parent.current_context()
+        local = Telemetry(
+            enabled=True,
+            trace_memory=parent.trace_memory,
+            run_id=parent.run_id,
+            parent_context={k: v for k, v in context.items() if k != "run_id"},
+        )
+        local.capture_logs = parent.log_sink is not None or parent.capture_logs
     previous = set_telemetry(local)
     try:
-        trained = _train_serial(task)
+        history = _train(task, ae, verbose)
     finally:
         set_telemetry(previous)
-    payload = network_to_bytes(trained.autoencoder.network)
-    return task.name, trained.history, payload, local.snapshot()
-
-
-def _rebuild(task: AspectTask, history: TrainingHistory, payload: bytes) -> TrainedAspect:
-    """Reconstitute a worker's result in the parent process."""
-    ae = Autoencoder(input_dim=input_dim_of(task.data), config=task.config)
-    network_from_bytes(ae.network, payload)
-    ae._fitted = True  # weights are trained; loading replaces fit()
-    return TrainedAspect(name=task.name, autoencoder=ae, history=history)
+    snapshot = local.snapshot() if parent.enabled else None
+    return history, [layer.state_dict() for layer in ae.network.layers], snapshot
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -213,66 +257,22 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     return multiprocessing.get_context("fork")
 
 
-def map_parallel(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Sequence[_ItemT],
-    n_jobs: Optional[int] = 1,
-    fallback: Optional[Callable[[], object]] = None,
-) -> Tuple[list, str]:
-    """Order-preserving map over a fork process pool, with serial fallback.
-
-    The executor behind :func:`train_ensemble`: ``fn`` must be a
-    module-level (picklable) callable, ``items`` its task tuples.
-    Results come back in item order regardless of completion order, so
-    any deterministic ``fn`` yields deterministic output for every
-    ``n_jobs``.
-
-    Args:
-        fn: worker entry point, applied to each item.
-        items: the work list.
-        n_jobs: worker processes (1 = in-process, < 1 = all cores);
-            clamped to ``len(items)``.
-        fallback: optional zero-argument callable run *instead of* the
-            per-item map when pool creation fails (sandboxes without
-            working semaphores); its return value becomes ``results``.
-            Without one, the items are mapped serially in-process.
-
-    Returns:
-        ``(results, mode)`` where mode is ``"serial"``,
-        ``"serial-fallback"`` or ``"parallel"``.
-    """
-    items = list(items)
-    if not items:
-        return [], "serial"
-    workers = resolve_n_jobs(n_jobs, len(items))
-    context = _fork_context()
-    if workers == 1 or context is None:
-        return [fn(item) for item in items], "serial"
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            results = [f.result() for f in futures]
-    except (OSError, PermissionError):
-        # Sandboxes without working semaphores / process spawning: the
-        # serial path is result-identical, so degrade silently.
-        if fallback is not None:
-            return fallback(), "serial-fallback"
-        return [fn(item) for item in items], "serial-fallback"
-    return results, "parallel"
-
-
 def train_ensemble(
     tasks: Sequence[AspectTask],
-    n_jobs: Optional[int] = 1,
+    n_jobs: Optional[int] = 0,
     verbose: bool = False,
 ) -> Dict[str, TrainedAspect]:
-    """Train every task, optionally across a process pool.
+    """Train every task, by default one forked worker per task.
 
     Args:
         tasks: independent per-aspect training jobs; names must be unique.
-        n_jobs: worker processes; 1 trains in-process, values < 1 use
-            all cores.  Results are bit-identical for every value.
-        verbose: per-epoch progress lines (serial path only).
+        n_jobs: worker processes; values < 1 (the default) mean one per
+            task -- or in-process when the tasks' training work is below
+            :data:`_MIN_FORK_WORK` -- a positive value caps the count and
+            1 trains in-process.  Results are bit-identical for every
+            value.
+        verbose: per-epoch progress lines (printed by the workers when
+            parallel).
 
     Returns:
         task name -> :class:`TrainedAspect`, in task order.
@@ -285,34 +285,57 @@ def train_ensemble(
         raise ValueError(f"duplicate task names: {names}")
 
     telemetry = get_telemetry()
-    workers = resolve_n_jobs(n_jobs, len(tasks))
     context = _fork_context()
+    # Built before any fork: workers train their inherited copies, and the
+    # parent loads the trained weights into its own.
+    autoencoders = [Autoencoder(input_dim=input_dim_of(t.data), config=t.config) for t in tasks]
+    workers = resolve_n_jobs(n_jobs, len(tasks))
+    work = sum(
+        ae.network.num_parameters() * n_samples_of(t.data) * t.config.epochs
+        for t, ae in zip(tasks, autoencoders)
+    )
+    if n_jobs is not None and n_jobs < 1 and work < _MIN_FORK_WORK:
+        workers = 1  # too little work to pay for the forks
 
     def train_all_serial() -> Dict[str, TrainedAspect]:
-        return {t.name: _train_serial(t, verbose=verbose) for t in tasks}
+        return {
+            t.name: TrainedAspect(t.name, ae, _train(t, ae, verbose))
+            for t, ae in zip(tasks, autoencoders)
+        }
 
     with telemetry.span(
         "parallel.train_ensemble", tasks=len(tasks), n_jobs=workers
     ) as span:
         telemetry.counter("parallel.tasks_total").inc(len(tasks))
         if workers == 1 or context is None:
-            # In-process fast path: keeps ``verbose`` and records straight
-            # into the parent telemetry (no snapshot round-trip).
+            # In-process path: records straight into the parent telemetry
+            # (no snapshot round-trip).
             span.annotate(mode="serial")
             return train_all_serial()
 
-        results, mode = map_parallel(
-            _train_in_worker, tasks, n_jobs=workers, fallback=train_all_serial
-        )
-        span.annotate(mode=mode)
-        if mode == "serial-fallback":
-            return results  # the fallback already built the name -> aspect dict
+        key = next(_FANOUT_KEYS)
+        _FANOUTS[key] = (tasks, autoencoders, verbose)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                futures = [pool.submit(_train_in_worker, key, i) for i in range(len(tasks))]
+                results = [f.result() for f in futures]
+        except OSError:
+            # Sandboxes without working semaphores / process spawning: the
+            # serial path is result-identical, so degrade silently.
+            span.annotate(mode="serial-fallback")
+            return train_all_serial()
+        finally:
+            del _FANOUTS[key]
+        span.annotate(mode="parallel")
 
         telemetry.gauge("parallel.pool_workers").set(workers)
         trained = {}
         merged = 0
-        for task, (name, history, payload, snapshot) in zip(tasks, results):
-            trained[name] = _rebuild(task, history, payload)
+        for task, ae, (history, states, snapshot) in zip(tasks, autoencoders, results):
+            for layer, state in zip(ae.network.layers, states):
+                layer.load_state_dict(state)
+            ae._fitted = True  # weights are trained; loading replaces fit()
+            trained[task.name] = TrainedAspect(task.name, ae, history)
             if snapshot is not None:
                 telemetry.merge(snapshot)
                 merged += 1

@@ -5,14 +5,11 @@ The archive stores every layer's ``state_dict`` flattened under
 so a model trained once (e.g. for a long benchmark) can be reloaded
 without retraining.  The round-trip is bit-exact -- parameters *and*
 non-trainable state such as BatchNormalization running statistics are
-restored to the same floats -- which is what lets
-:mod:`repro.nn.parallel` ship trained weights between processes through
-:func:`network_to_bytes` / :func:`network_from_bytes`.
+restored to the same floats.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import IO, Union
@@ -96,18 +93,3 @@ def load_network(network: Sequential, path: PathOrFile) -> Sequential:
                 layer.load_state_dict(state)
     return network
 
-
-def network_to_bytes(network: Sequential) -> bytes:
-    """The :func:`save_network` archive as an in-memory byte string.
-
-    Used to ship trained weights across process boundaries (the bytes
-    are picklable and preserve every float bit).
-    """
-    buffer = io.BytesIO()
-    save_network(network, buffer)
-    return buffer.getvalue()
-
-
-def network_from_bytes(network: Sequential, data: bytes) -> Sequential:
-    """Load a :func:`network_to_bytes` payload into a built network."""
-    return load_network(network, io.BytesIO(data))

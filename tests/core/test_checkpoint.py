@@ -262,6 +262,12 @@ class TestValidation:
         other = ModelConfig(window=6, matrix_days=5, critic_n=2, autoencoder=TINY_AE)
         assert config_digest(other) != config_digest(fitted.config)
 
+    def test_config_digest_ignores_worker_count(self):
+        # Training is bit-identical for every n_jobs, so a checkpoint
+        # resumes under any worker count.
+        digests = {config_digest(ModelConfig(n_jobs=n)) for n in (-1, 0, 1, 4)}
+        assert digests == {config_digest(ModelConfig())}
+
     @pytest.mark.parametrize(
         "autoencoder,digest",
         [

@@ -134,3 +134,17 @@ def test_backpressure_failure_checkpoints_and_resumes(
     cursor = source.ingestor.cursor.isoformat()
     assert rest == [doc for doc in uninterrupted if doc["day"] > cursor]
     assert rest
+
+
+def test_resume_with_another_arrival_order_is_refused(config, feed, tmp_path, capsys):
+    checkpoints = str(tmp_path / "ckpt")
+    code, _ = run_days(
+        tmp_path / "first.json", make_source("shuffled", config, feed),
+        checkpoint_dir=checkpoints, stop_after=20000,
+    )
+    assert code == 0
+    other = EventSource(config, feed, shuffle_seed=SHUFFLE_SEED + 1)
+    code, days = run_days(tmp_path / "rest.json", other, checkpoint_dir=checkpoints, resume=True)
+    assert code == 2
+    assert days is None
+    assert "shuffle_seed" in capsys.readouterr().err

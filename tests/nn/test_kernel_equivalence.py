@@ -367,8 +367,11 @@ class TestActivationEdgeCases:
         assert _bits_equal(out, reference.mirror(Sigmoid()).forward(x, True))
         assert list(out[0, :4]) == [0.5, 0.5, 1.0, 0.0]
         assert out[0, -2] == 0.0 and not np.signbit(out[0, -2])
-        # NaN stays NaN (its sign bit is not part of the contract).
-        assert np.isnan(Sigmoid().forward(np.array([[np.nan]], dtype=dtype))).all()
+        # NaN in, the oracle's positive NaN out.
+        nan = np.array([[np.nan]], dtype=dtype)
+        out = Sigmoid().forward(nan)
+        assert _bits_equal(out, reference.mirror(Sigmoid()).forward(nan, True))
+        assert np.isnan(out[0, 0]) and not np.signbit(out[0, 0])
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.2, 1 / 3, 0.5, 1.0])

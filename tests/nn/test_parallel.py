@@ -3,8 +3,10 @@
 The load-bearing property is *determinism*: for a fixed per-task seed,
 ``train_ensemble`` must return bit-identical weights, histories and
 scores whether it runs serially, across a process pool, or through the
-serial fallback path.
+serial fallback path -- whatever BLAS thread count the caller runs.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ from repro.nn.layers import Dense, Tanh
 from repro.nn.network import Sequential
 from repro.nn.parallel import (
     AspectTask,
+    blas_threads,
     derive_seed,
     resolve_n_jobs,
     train_ensemble,
 )
-from repro.nn.serialization import network_from_bytes, network_to_bytes
 
 TINY = AutoencoderConfig(
     encoder_units=(6, 3),
@@ -84,9 +86,9 @@ class TestResolveNJobs:
     def test_clamped_to_tasks(self):
         assert resolve_n_jobs(8, 3) == 3
 
-    def test_all_cores(self):
-        assert resolve_n_jobs(0, 64) >= 1
-        assert resolve_n_jobs(-1, 64) >= 1
+    def test_one_worker_per_task(self):
+        assert resolve_n_jobs(0, 3) == 3
+        assert resolve_n_jobs(-1, 64) == 64
 
     def test_rejects_no_tasks(self):
         with pytest.raises(ValueError):
@@ -190,14 +192,109 @@ class TestFallbacks:
         assert all(m.autoencoder.fitted for m in trained.values())
 
 
+class TestDefaultFanOut:
+    """n_jobs=0 forks one worker per task once the work pays for the forks."""
+
+    def test_small_work_trains_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a small ensemble must not fork")
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", no_pool)
+        trained = train_ensemble(make_tasks(3), n_jobs=0)
+        assert all(m.autoencoder.fitted for m in trained.values())
+
+    def test_large_work_forks_one_worker_per_task(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(par.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(par, "_MIN_FORK_WORK", 0)
+        tasks = make_tasks(3)
+        trained = train_ensemble(tasks, n_jobs=0)
+        assert pools == [3]
+        reference = train_ensemble(tasks, n_jobs=1)
+        for task in tasks:
+            np.testing.assert_array_equal(
+                trained[task.name].autoencoder.reconstruction_error(task.data),
+                reference[task.name].autoencoder.reconstruction_error(task.data),
+            )
+
+
+class TestBlasPinning:
+    """Serial training under multi-threaded BLAS equals the parallel default."""
+
+    @pytest.mark.skipif(
+        par._openblas_threads() is None, reason="numpy's BLAS has no OpenBLAS thread control"
+    )
+    def test_serial_matches_parallel_at_any_parent_thread_count(self, monkeypatch):
+        # 256 x 840 float32 rows into 128 units: a GEMM that OpenBLAS
+        # splits across threads when it may, changing float32 bits.
+        monkeypatch.setattr(par, "_MIN_FORK_WORK", 0)  # n_jobs=0 forks
+        rng = np.random.default_rng(8)
+        tasks = [
+            AspectTask(
+                f"aspect{i}",
+                rng.random((256, 840), dtype=np.float32),
+                AutoencoderConfig(
+                    encoder_units=(128, 32),
+                    epochs=2,
+                    batch_size=256,
+                    early_stopping_patience=None,
+                    validation_split=0.0,
+                    seed=derive_seed(8, i),
+                    dtype="float32",
+                ),
+            )
+            for i in range(3)
+        ]
+        get_threads = par._openblas_threads()[0]
+        before = get_threads()
+        runs = []
+        for threads in (1, 2):
+            with blas_threads(threads):
+                parent = get_threads()
+                for n_jobs in (1, 0):
+                    runs.append(train_ensemble(tasks, n_jobs=n_jobs))
+                    assert get_threads() == parent
+        assert get_threads() == before
+        reference = runs[0]
+        for run in runs[1:]:
+            for task in tasks:
+                a = reference[task.name].autoencoder.network.parameters()
+                b = run[task.name].autoencoder.network.parameters()
+                for pa, pb in zip(a, b):
+                    assert pa.value.tobytes() == pb.value.tobytes()
+                assert reference[task.name].history.loss == run[task.name].history.loss
+
+    def test_blas_threads_restores_the_previous_count(self):
+        control = par._openblas_threads()
+        if control is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread control")
+        get_threads = control[0]
+        before = get_threads()
+        with blas_threads(1):
+            assert get_threads() == 1
+            with blas_threads(2):
+                pass
+            assert get_threads() == 1
+        assert get_threads() == before
+
+
 class TestWeightTransport:
-    def test_bytes_round_trip_is_bit_exact(self):
+    """Workers return each layer's raw state_dict; the parent loads it."""
+
+    def test_state_dict_round_trip_is_bit_exact(self):
         net = Sequential([Dense(6), Tanh(), Dense(4)], seed=3).build(4)
         x = np.random.default_rng(1).random((12, 4))
         net.fit(x, epochs=2, optimizer="adam")
-        blob = network_to_bytes(net)
+        states = pickle.loads(pickle.dumps([layer.state_dict() for layer in net.layers]))
         clone = Sequential([Dense(6), Tanh(), Dense(4)], seed=99).build(4)
-        network_from_bytes(clone, blob)
+        for layer, state in zip(clone.layers, states):
+            layer.load_state_dict(state)
         np.testing.assert_array_equal(net.predict(x), clone.predict(x))
 
     def test_round_trip_preserves_batchnorm_running_stats(self):
@@ -209,11 +306,14 @@ class TestWeightTransport:
             validation_split=0.0,
             seed=2,
         )
-        ae = Autoencoder(input_dim=8, config=cfg)
         x = np.random.default_rng(4).random((20, 8))
-        ae.fit(x)
-        blob = network_to_bytes(ae.network)
-        clone = Autoencoder(input_dim=8, config=cfg)
-        network_from_bytes(clone.network, blob)
-        # Inference uses running statistics; equality proves they moved.
-        np.testing.assert_array_equal(ae.reconstruct(x), clone.reconstruct(x))
+        tasks = [AspectTask("a", x, cfg), AspectTask("b", x[::-1].copy(), cfg)]
+        serial = train_ensemble(tasks, n_jobs=1)
+        parallel = train_ensemble(tasks, n_jobs=2)
+        for task in tasks:
+            assert parallel[task.name].autoencoder.fitted
+            # Inference uses running statistics; equality proves they moved.
+            np.testing.assert_array_equal(
+                serial[task.name].autoencoder.reconstruct(x),
+                parallel[task.name].autoencoder.reconstruct(x),
+            )
