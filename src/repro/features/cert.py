@@ -36,16 +36,23 @@ from __future__ import annotations
 
 from collections import Counter
 from datetime import date
-from itertools import repeat
+from itertools import product, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
-from repro.logs.schema import DeviceEvent, Event, FileEvent, HttpEvent
+from repro.logs.schema import (
+    FILE_ACTIVITIES,
+    FILE_LOCATIONS,
+    DeviceEvent,
+    Event,
+    FileEvent,
+    HttpEvent,
+)
 from repro.logs.store import LogStore
-from repro.utils.timeutil import TWO_TIMEFRAMES, TimeFrame, frame_index_of, hourly_timeframes
+from repro.utils.timeutil import TWO_TIMEFRAMES, TimeFrame, frame_lookup, hourly_timeframes
 
 # ---------------------------------------------------------------------------
 # ACOBE's fine-grained CERT features
@@ -95,19 +102,27 @@ UPLOAD_FILETYPES = ("doc", "exe", "jpg", "pdf", "txt", "zip")
 _UPLOAD_TYPES = UPLOAD_FILETYPES
 
 
-def file_direction_feature(event: FileEvent) -> Optional[str]:
-    """Map a file event to its direction feature name (None if untracked)."""
-    if event.activity == "open":
-        return f"file-open-from-{event.from_location}"
-    if event.activity == "write":
-        return f"file-write-to-{event.to_location}"
-    if event.activity == "copy":
-        return f"file-copy-{event.from_location}-to-{event.to_location}"
+def _direction_feature(
+    activity: str, from_location: Optional[str], to_location: Optional[str]
+) -> Optional[str]:
+    """The direction feature a file operation names (tracked or not)."""
+    if activity == "open":
+        return f"file-open-from-{from_location}"
+    if activity == "write":
+        return f"file-write-to-{to_location}"
+    if activity == "copy":
+        return f"file-copy-{from_location}-to-{to_location}"
     return None
 
 
-# Backwards-compatible alias (pre-ingest name).
-_file_direction_feature = file_direction_feature
+#: ``(activity, from_location, to_location)`` -> the *tracked* direction
+#: feature, over every value a file event's fields can take; None where
+#: the operation has no direction feature (delete, a local-to-local copy).
+_FILE_DIRECTIONS: Dict[Tuple[str, Optional[str], Optional[str]], Optional[str]] = {
+    key: name if name in FILE_ASPECT.feature_names else None
+    for key in product(FILE_ACTIVITIES, (None, *FILE_LOCATIONS), (None, *FILE_LOCATIONS))
+    for name in (_direction_feature(*key),)
+}
 
 
 class _OpenDay:
@@ -172,6 +187,7 @@ class CertSlabAccumulator:
         self.feature_set = FeatureSet(CERT_ASPECTS)
         self._user_index = {user: u for u, user in enumerate(self.users)}
         self._f = {name: self.feature_set.index_of(name) for name in self.feature_set.feature_names}
+        self._frame_of = frame_lookup(self.timeframes)
         self._seen: Dict[str, List[set]] = {
             "hosts": [set() for _ in self.users],       # host
             "file_pairs": [set() for _ in self.users],  # (direction-feature, file-id)
@@ -200,21 +216,24 @@ class CertSlabAccumulator:
         """Days with buffered state, ascending."""
         return sorted(self._open)
 
-    def _day_state(self, day: date) -> _OpenDay:
+    def _new_day_state(self, day: date) -> _OpenDay:
         if self._last_sealed is not None and day <= self._last_sealed:
             raise ValueError(
                 f"day {day.isoformat()} is already sealed "
                 f"(cursor at {self._last_sealed.isoformat()})"
             )
-        state = self._open.get(day)
-        if state is None:
-            state = self._open[day] = _OpenDay(
-                len(self.users), len(self.feature_set), len(self.timeframes)
-            )
+        state = self._open[day] = _OpenDay(
+            len(self.users), len(self.feature_set), len(self.timeframes)
+        )
         return state
 
-    def add(self, event: Event) -> bool:
+    def add(self, event: Event, day: Optional[date] = None) -> bool:
         """Aggregate one event into its (event-time) day.
+
+        Args:
+            event: a device, file or HTTP event (matched by exact type).
+            day: the event's day when the caller already has it (saves
+                rebuilding ``event.timestamp.date()``); None derives it.
 
         Returns:
             True when the event contributed to a tracked feature family,
@@ -222,35 +241,42 @@ class CertSlabAccumulator:
             activity with no CERT feature).
 
         Raises:
-            ValueError: the event's day has already been sealed.
+            ValueError: the event's day has already been sealed, or no
+                time-frame covers its hour.  Either way nothing was
+                counted and no day state was created.
         """
         u = self._user_index.get(event.user)
         if u is None:
             return False
-        if isinstance(event, DeviceEvent):
+        kind = type(event)
+        if kind is DeviceEvent:
             if event.activity != "connect":
                 return False
-            state = self._day_state(event.day)
-            t = frame_index_of(self.timeframes, event.timestamp)
-            state.raw[u, self._f["device-connect"], t] += 1
-            state.pending["hosts"][(u, event.host, t)] += 1
-            return True
-        if isinstance(event, FileEvent):
-            state = self._day_state(event.day)
-            t = frame_index_of(self.timeframes, event.timestamp)
-            direction = file_direction_feature(event)
-            if direction is not None and direction in self._f:
-                state.pending["file_pairs"][(u, direction, event.file_id, t)] += 1
-            state.pending["file_ops"][(u, event.activity, event.file_id, t)] += 1
-            return True
-        if isinstance(event, HttpEvent):
-            state = self._day_state(event.day)
-            t = frame_index_of(self.timeframes, event.timestamp)
+        elif kind is not FileEvent and kind is not HttpEvent:
+            return False
+        ts = event.timestamp
+        t = self._frame_of(ts)
+        if day is None:
+            day = ts.date()
+        state = self._open.get(day)
+        if state is None:
+            state = self._new_day_state(day)
+        pending = state.pending
+        if kind is FileEvent:
+            direction = _FILE_DIRECTIONS.get(
+                (event.activity, event.from_location, event.to_location)
+            )
+            if direction is not None:
+                pending["file_pairs"][(u, direction, event.file_id, t)] += 1
+            pending["file_ops"][(u, event.activity, event.file_id, t)] += 1
+        elif kind is HttpEvent:
             if event.activity == "upload" and event.filetype in UPLOAD_FILETYPES:
-                state.pending["http_pairs"][(u, event.filetype, event.domain, t)] += 1
-            state.pending["http_ops"][(u, event.activity, event.domain, t)] += 1
-            return True
-        return False
+                pending["http_pairs"][(u, event.filetype, event.domain, t)] += 1
+            pending["http_ops"][(u, event.activity, event.domain, t)] += 1
+        else:
+            state.raw[u, self._f["device-connect"], t] += 1
+            pending["hosts"][(u, event.host, t)] += 1
+        return True
 
     def seal(self, day: date) -> np.ndarray:
         """Finish ``day``: resolve novelties, commit seen-sets, free state.
@@ -435,7 +461,7 @@ def extract_cert_measurements(
         for user in users:
             for type_name in ("device", "file", "http"):
                 for event in store.events(user, type_name, day):
-                    accumulator.add(event)
+                    accumulator.add(event, day)
         cube[:, :, :, d] = accumulator.seal(day)
 
     return MeasurementCube(
@@ -517,6 +543,7 @@ def extract_baseline_measurements(
     feature_set = FeatureSet(BASELINE_ASPECTS)
     days = sorted(days)
     cube = np.zeros((len(users), len(feature_set), len(timeframes), len(days)))
+    frame_of = frame_lookup(timeframes)
 
     for u, user in enumerate(users):
         for d, day in enumerate(days):
@@ -525,7 +552,7 @@ def extract_baseline_measurements(
                     activity = event.activity
                     if activity not in activities:
                         continue
-                    t = frame_index_of(timeframes, event.timestamp)
+                    t = frame_of(event.timestamp)
                     cube[u, feature_set.index_of(activity), t, d] += 1
 
     return MeasurementCube(

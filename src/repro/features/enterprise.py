@@ -45,7 +45,7 @@ from repro.logs.schema import (
     WindowsEvent,
 )
 from repro.logs.store import LogStore
-from repro.utils.timeutil import TWO_TIMEFRAMES, WORKING_HOURS, TimeFrame, frame_index_of
+from repro.utils.timeutil import TWO_TIMEFRAMES, WORKING_HOURS, TimeFrame, frame_lookup
 
 _PREDICTABLE = ("file", "command", "config", "resource")
 _ID_GROUPS: Dict[str, frozenset] = {
@@ -132,6 +132,7 @@ def extract_enterprise_measurements(
     n_t = len(timeframes)
     cube = np.zeros((len(users), len(feature_set), n_t, len(days)))
     f_idx = {name: feature_set.index_of(name) for name in feature_set.feature_names}
+    frame_of = frame_lookup(tuple(timeframes))
 
     for u, user in enumerate(users):
         seen_pairs: Dict[str, Set[Tuple[int, str]]] = {name: set() for name in _PREDICTABLE}
@@ -152,7 +153,7 @@ def extract_enterprise_measurements(
                     aspect = _aspect_of_event_id(event.event_id)
                     if not aspect:
                         continue
-                    t = frame_index_of(timeframes, event.timestamp)
+                    t = frame_of(event.timestamp)
                     key = _event_key(event)
                     cube[u, f_idx[f"{aspect}-events"], t, d] += 1
                     frame_pairs[aspect][t].add(key)
@@ -164,7 +165,7 @@ def extract_enterprise_measurements(
             # ---- HTTP (proxy + dns) ----
             for event in store.events(user, "proxy", day):
                 assert isinstance(event, ProxyEvent)
-                t = frame_index_of(timeframes, event.timestamp)
+                t = frame_of(event.timestamp)
                 frame_domains[t].add(event.domain)
                 is_new = event.domain not in seen_domains
                 if event.verdict == "success":
@@ -181,13 +182,13 @@ def extract_enterprise_measurements(
             for event in store.events(user, "dns", day):
                 assert isinstance(event, DnsEvent)
                 if not event.resolved:
-                    t = frame_index_of(timeframes, event.timestamp)
+                    t = frame_of(event.timestamp)
                     cube[u, f_idx["http-nxdomain"], t, d] += 1
 
             # ---- Logon ----
             for event in store.events(user, "logon", day):
                 assert isinstance(event, LogonEvent)
-                t = frame_index_of(timeframes, event.timestamp)
+                t = frame_of(event.timestamp)
                 if event.activity == "logon":
                     cube[u, f_idx["logon-success"], t, d] += 1
                     if not WORKING_HOURS.contains(event.timestamp):

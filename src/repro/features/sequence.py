@@ -31,7 +31,7 @@ from repro.datagen.enterprise import COMMAND_EVENT_IDS, FILE_EVENT_IDS
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
 from repro.logs.store import LogStore
-from repro.utils.timeutil import TWO_TIMEFRAMES, TimeFrame, frame_index_of
+from repro.utils.timeutil import TWO_TIMEFRAMES, TimeFrame
 
 Symbol = Hashable
 _START = ("<s>",)

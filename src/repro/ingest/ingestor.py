@@ -228,6 +228,10 @@ class Ingestor:
         self.events_late = 0
         self.events_duplicate = 0
         self.days_sealed = 0
+        #: The telemetry that last received the ``ingest.open_days`` gauge
+        #: from a push; a push republishes it when the span moved or the
+        #: telemetry changed.
+        self._open_days_published_to = None
         #: Identifies this stream across checkpoints: minted here, restored
         #: on resume.  A checkpoint directory whose manifest carries another
         #: lineage belongs to a different stream, so none of its files are
@@ -286,7 +290,9 @@ class Ingestor:
 
     def _export_tick(self, telemetry) -> None:
         if self._exporter is not None:
-            self._exporter.tick(telemetry, self.durable_counters())
+            # Passed uncalled: the exporter builds the dict only when a
+            # flush comes due, not on every delivery.
+            self._exporter.tick(telemetry, self.durable_counters)
 
     def _quality_check(self, day: date, telemetry) -> None:
         if self._quality_monitor is None:
@@ -355,19 +361,49 @@ class Ingestor:
             IngestBackpressureError: consuming the delivery would exceed
                 ``max_open_days`` / ``max_buffered_events`` (the
                 delivery is not consumed).
+            ValueError: no time-frame of the builder covers the event's
+                hour (the delivery is not consumed).
         """
         telemetry = get_telemetry()
-        day = event.day
+        day = event.timestamp.date()
         if fingerprint is None:
             fingerprint = content_fingerprint(event)
         if self._cursor is None:
             # First delivery anchors the day axis when no start_day set.
             self._cursor = day - _ONE_DAY
-
         if day <= self._cursor:
-            return self._handle_late(event, telemetry)
+            return self._handle_late(event, day, telemetry)
 
-        if self._builder.is_duplicate(day, fingerprint):
+        # Only a delivery that moves the clock can widen the open-day
+        # window or seal anything; every other one skips that work.
+        max_event_day = self._clock.max_event_day
+        advances = max_event_day is None or day > max_event_day
+        if advances:
+            span = (day - self._cursor).days
+            if span > self.config.max_open_days:
+                raise IngestBackpressureError(
+                    f"delivery for {day.isoformat()} would stretch the open-day window to "
+                    f"{span} day(s) (max_open_days={self.config.max_open_days}, "
+                    f"cursor at {self._cursor.isoformat()}); drain with flush() or raise the bound"
+                )
+        builder = self._builder
+        max_buffered = self.config.max_buffered_events
+        if (
+            max_buffered is not None
+            and builder.buffered_records >= max_buffered
+            and not builder.is_duplicate(day, fingerprint)
+        ):
+            raise IngestBackpressureError(
+                f"{builder.buffered_records} record(s) already buffered "
+                f"(max_buffered_events={max_buffered}); "
+                "drain with flush() or raise the bound"
+            )
+
+        # The builder refuses (ValueError) before changing anything, and
+        # the new day is past every day this delivery can seal, so adding
+        # first keeps a refused delivery from half-consuming: no clock
+        # move, no seal.
+        if not builder.add(event, fingerprint, day):
             self.events_pushed += 1
             self.events_duplicate += 1
             telemetry.counter("ingest.events").inc()
@@ -375,34 +411,19 @@ class Ingestor:
             self._export_tick(telemetry)
             return []
 
-        new_max = self._clock.max_event_day
-        new_max = day if new_max is None or day > new_max else new_max
-        span = (new_max - self._cursor).days
-        if span > self.config.max_open_days:
-            raise IngestBackpressureError(
-                f"delivery for {day.isoformat()} would stretch the open-day window to "
-                f"{span} day(s) (max_open_days={self.config.max_open_days}, "
-                f"cursor at {self._cursor.isoformat()}); drain with flush() or raise the bound"
-            )
-        if (
-            self.config.max_buffered_events is not None
-            and self._builder.buffered_records + 1 > self.config.max_buffered_events
-        ):
-            raise IngestBackpressureError(
-                f"{self._builder.buffered_records} record(s) already buffered "
-                f"(max_buffered_events={self.config.max_buffered_events}); "
-                "drain with flush() or raise the bound"
-            )
-
-        self._clock.advance(day)
-        target = self._clock.seal_through
         results: List[IngestResult] = []
-        if target is not None and target > self._cursor:
-            results = self._seal_until(target, telemetry)
-        self._builder.add(event, fingerprint)
+        if advances:
+            self._clock.advance(day)
+            target = self._clock.seal_through
+            if target is not None and target > self._cursor:
+                results = self._seal_until(target, telemetry)
         self.events_pushed += 1
         telemetry.counter("ingest.events").inc()
-        telemetry.gauge("ingest.open_days").set(self.open_day_span)
+        if advances or self._open_days_published_to is not telemetry:
+            # The span moves only with the clock (or a seal, which only
+            # an advancing delivery or flush() triggers).
+            telemetry.gauge("ingest.open_days").set(self.open_day_span)
+            self._open_days_published_to = telemetry
         self._export_tick(telemetry)
         return results
 
@@ -443,10 +464,10 @@ class Ingestor:
     # internals
     # ------------------------------------------------------------------
 
-    def _handle_late(self, event: Event, telemetry) -> List[IngestResult]:
+    def _handle_late(self, event: Event, day: date, telemetry) -> List[IngestResult]:
         if self.config.late_policy == "raise":
             raise LateEventError(
-                f"delivery for sealed day {event.day.isoformat()} "
+                f"delivery for sealed day {day.isoformat()} "
                 f"(cursor at {self._cursor.isoformat()}, "
                 f"allowed_lateness_days={self.config.allowed_lateness_days})"
             )
@@ -457,7 +478,7 @@ class Ingestor:
         telemetry.log_event(
             "ingest.event_late",
             level="warning",
-            day=event.day.isoformat(),
+            day=day.isoformat(),
             cursor=self._cursor.isoformat(),
             policy=self.config.late_policy,
         )
@@ -543,3 +564,4 @@ class Ingestor:
         self.events_duplicate = int(doc["events_duplicate"])
         self.days_sealed = int(doc["days_sealed"])
         self._builder.restore_state(doc["builder"], arrays)
+        self._open_days_published_to = None

@@ -15,7 +15,8 @@ bit-identical to cube columns) and adds the ingestion-side concerns:
   is the fallback for callers without a delivery identity.
 * **buffered-record accounting** -- the number of fingerprints held
   across open days, the quantity the ingestor's ``max_buffered_events``
-  backpressure bound is measured in.
+  backpressure bound is measured in; a running count, derived again
+  from the fingerprint sets on restore.
 * **state export/restore** -- everything above plus the accumulator's
   committed seen-sets and open-day buffers round-trips exactly through
   ``(json doc, npz arrays)`` for the ingest checkpoint.
@@ -24,7 +25,7 @@ bit-identical to cube columns) and adds the ingestion-side concerns:
 from __future__ import annotations
 
 from datetime import date
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class SlabBuilder:
     ) -> None:
         self._accumulator = CertSlabAccumulator(users, timeframes)
         self._fingerprints: Dict[date, Set[str]] = {}
+        #: Running total of the fingerprint sets' sizes (kept in step by
+        #: add/seal, recomputed on restore).
+        self._buffered = 0
 
     @property
     def users(self) -> List[str]:
@@ -78,7 +82,7 @@ class SlabBuilder:
     @property
     def buffered_records(self) -> int:
         """Unique records currently held across all open days."""
-        return sum(len(prints) for prints in self._fingerprints.values())
+        return self._buffered
 
     def records_in(self, day: date) -> int:
         """Unique records buffered for one open day."""
@@ -88,8 +92,14 @@ class SlabBuilder:
         """Whether this delivery was already recorded for ``day``."""
         return fingerprint in self._fingerprints.get(day, ())
 
-    def add(self, event: Event, fingerprint: str) -> bool:
+    def add(self, event: Event, fingerprint: str, day: Optional[date] = None) -> bool:
         """Aggregate one delivery into its event-time day.
+
+        Args:
+            event: the delivered event.
+            fingerprint: the delivery's identity for dedup.
+            day: ``event.day`` when the caller already has it; None
+                derives it.
 
         Returns:
             False when ``fingerprint`` was already recorded for the
@@ -101,23 +111,31 @@ class SlabBuilder:
         Raises:
             ValueError: the event's day has already been sealed (the
                 ingestor's lateness policy must intercept late events
-                before they reach the builder).
+                before they reach the builder), or no time-frame covers
+                its hour.  A refused delivery leaves the builder as it
+                was.
         """
-        day = event.day
-        last = self._accumulator.last_sealed
-        if last is not None and day <= last:
-            # The accumulator only rejects sealed-day adds for *tracked*
-            # events; enforce it here for every delivery so no
-            # fingerprint can leak into a day that will never seal again.
-            raise ValueError(
-                f"day {day.isoformat()} is already sealed "
-                f"(cursor at {last.isoformat()})"
-            )
-        prints = self._fingerprints.setdefault(day, set())
-        if fingerprint in prints:
+        if day is None:
+            day = event.day
+        prints = self._fingerprints.get(day)
+        if prints is None:
+            last = self._accumulator.last_sealed
+            if last is not None and day <= last:
+                # The accumulator only rejects sealed-day adds for
+                # *tracked* events; enforce it here for every delivery so
+                # no fingerprint can leak into a day that will never seal
+                # again.  (A day holding fingerprints is open.)
+                raise ValueError(
+                    f"day {day.isoformat()} is already sealed "
+                    f"(cursor at {last.isoformat()})"
+                )
+        elif fingerprint in prints:
             return False
-        self._accumulator.add(event)
+        self._accumulator.add(event, day)
+        if prints is None:
+            prints = self._fingerprints[day] = set()
         prints.add(fingerprint)
+        self._buffered += 1
         return True
 
     def seal(self, day: date) -> np.ndarray:
@@ -127,7 +145,7 @@ class SlabBuilder:
             The day's ``(users, features, timeframes)`` slab.
         """
         slab = self._accumulator.seal(day)
-        self._fingerprints.pop(day, None)
+        self._buffered -= len(self._fingerprints.pop(day, ()))
         return slab
 
     # -- checkpoint support -------------------------------------------------
@@ -164,3 +182,4 @@ class SlabBuilder:
             date.fromisoformat(day): set(prints)
             for day, prints in doc["fingerprints"].items()
         }
+        self._buffered = sum(len(prints) for prints in self._fingerprints.values())

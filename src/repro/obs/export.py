@@ -36,7 +36,7 @@ import re
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from repro.obs.telemetry import (
     Telemetry,
@@ -154,13 +154,18 @@ class MetricsExporter:
     def tick(
         self,
         telemetry: Optional[Telemetry] = None,
-        durable: Optional[Mapping[str, Any]] = None,
+        durable: Union[Mapping[str, Any], Callable[[], Mapping[str, Any]], None] = None,
     ) -> bool:
-        """Count one unit of work; flush when the cadence comes due."""
+        """Count one unit of work; flush when the cadence comes due.
+
+        ``durable`` may be a zero-argument callable returning the
+        counters; it is then called only when a flush comes due, so a
+        per-delivery tick does not build a dict it will not export.
+        """
         self.ticks += 1
         if self.ticks % self.every:
             return False
-        self.flush(telemetry, durable)
+        self.flush(telemetry, durable() if callable(durable) else durable)
         return True
 
     def flush(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,30 @@ def iter_days(start: date, n_days: int) -> Iterator[date]:
         yield start + timedelta(days=i)
 
 
+@lru_cache(maxsize=32)
+def frame_lookup(timeframes: Tuple[TimeFrame, ...]) -> Callable[[datetime], int]:
+    """A cached ``ts -> frame index`` resolver for one frame set.
+
+    It reads a 24-entry hour-to-frame table built once per frame set, so
+    a hot loop pays one tuple index per event instead of a membership
+    test per frame.  Like :func:`frame_index_of`, it returns the first
+    frame containing the hour and raises ``ValueError`` for an hour no
+    frame covers.
+    """
+    table = tuple(
+        next((i for i, frame in enumerate(timeframes) if frame.contains_hour(hour)), None)
+        for hour in range(24)
+    )
+
+    def frame_of(ts: datetime) -> int:
+        t = table[ts.hour]
+        if t is None:
+            raise ValueError(f"no time-frame covers hour {ts.hour} ({ts.isoformat()})")
+        return t
+
+    return frame_of
+
+
 def frame_index_of(timeframes: Sequence[TimeFrame], ts: datetime) -> int:
     """Index of the first frame containing ``ts``.
 
@@ -92,7 +117,4 @@ def frame_index_of(timeframes: Sequence[TimeFrame], ts: datetime) -> int:
         ValueError: when no frame contains the timestamp (the frames do
             not cover that hour).
     """
-    for i, frame in enumerate(timeframes):
-        if frame.contains(ts):
-            return i
-    raise ValueError(f"no time-frame covers hour {ts.hour} ({ts.isoformat()})")
+    return frame_lookup(tuple(timeframes))(ts)

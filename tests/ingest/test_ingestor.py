@@ -16,7 +16,8 @@ from repro.ingest import (
     WatermarkClock,
 )
 from repro.logs.schema import DeviceEvent
-from repro.obs import Telemetry, set_telemetry
+from repro.obs import MetricsExporter, Telemetry, set_telemetry
+from repro.utils.timeutil import WORKING_HOURS
 
 USERS = ["u0", "u1"]
 D = date(2010, 3, 1)
@@ -202,6 +203,118 @@ class TestBackpressure:
         assert ingestor.events_pushed == 3
 
 
+class TestRefusedDelivery:
+    def test_uncovered_hour_leaves_ingestor_untouched(self):
+        # Only working hours are covered, so a 20:00 event has no frame.
+        # It must be refused before the clock moves or anything seals.
+        ingestor = Ingestor(
+            SlabBuilder(["u1"], timeframes=(WORKING_HOURS,)),
+            None,
+            IngestConfig(allowed_lateness_days=0, start_day=D),
+        )
+        ingestor.push(connect(0, user="u1"), "r1")
+        before = (
+            ingestor.cursor, ingestor.watermark, ingestor.days_sealed,
+            ingestor.events_pushed, ingestor.builder.open_days(),
+            ingestor.builder.buffered_records,
+        )
+        with pytest.raises(ValueError, match="no time-frame covers hour 20"):
+            ingestor.push(connect(2, user="u1", hour=20), "r2")
+        after = (
+            ingestor.cursor, ingestor.watermark, ingestor.days_sealed,
+            ingestor.events_pushed, ingestor.builder.open_days(),
+            ingestor.builder.buffered_records,
+        )
+        assert after == before
+        assert before[2] == 0 and before[4] == [D]
+        # A covered delivery for the same day then seals the two days
+        # before it and returns them to the caller.
+        sealed = ingestor.push(connect(2, user="u1"), "r3")
+        assert [result.day for result in sealed] == [D, D + timedelta(days=1)]
+        assert ingestor.days_sealed == 2
+
+
+class TestBufferedRecords:
+    @staticmethod
+    def assert_running_count(ingestor):
+        builder = ingestor.builder
+        expected = sum(builder.records_in(day) for day in builder.open_days())
+        assert builder.buffered_records == expected
+
+    def test_running_count_equals_sum_over_open_days(self):
+        ingestor = make_ingestor(max_buffered_events=3)
+        ingestor.push(connect(0), "r1")                   # push
+        self.assert_running_count(ingestor)
+        ingestor.push(connect(0), "r1")                   # duplicate
+        self.assert_running_count(ingestor)
+        ingestor.push(connect(1), "r2")
+        ingestor.push(connect(2), "r3")                   # seals day 0
+        assert ingestor.days_sealed == 1
+        self.assert_running_count(ingestor)
+        ingestor.push(connect(2, host="H2"), "r4")
+        with pytest.raises(IngestBackpressureError):      # refusal
+            ingestor.push(connect(2, host="H3"), "r5")
+        self.assert_running_count(ingestor)
+        assert ingestor.builder.buffered_records == 3
+        ingestor.push(connect(2, host="H2"), "r4")        # duplicate at the bound
+        assert ingestor.events_duplicate == 2
+        self.assert_running_count(ingestor)
+
+        doc, arrays = ingestor.export_state()             # export
+        self.assert_running_count(ingestor)
+        restored = make_ingestor(max_buffered_events=3)
+        restored.restore_state(json.loads(json.dumps(doc)), arrays)  # restore
+        self.assert_running_count(restored)
+        assert restored.builder.buffered_records == 3
+
+        restored.flush()
+        self.assert_running_count(restored)
+        assert restored.builder.buffered_records == 0
+
+
+class TestExporterTicks:
+    @staticmethod
+    def run(tmp_path, every):
+        """Push a fixed stream with an exporter attached; count dict builds."""
+        telemetry = Telemetry(enabled=True)
+        set_telemetry(telemetry)
+        try:
+            ingestor = make_ingestor(allowed_lateness_days=1)
+            exporter = MetricsExporter(tmp_path / f"every{every}", every=every)
+            ingestor.attach_exporter(exporter)
+            built = []
+            durable_counters = ingestor.durable_counters
+
+            def counting():
+                built.append(exporter.ticks)
+                return durable_counters()
+
+            ingestor.durable_counters = counting
+            for i in range(230):
+                day = (i // 20) - (i % 3 == 0 and i >= 20)  # some one-day-late arrivals
+                fingerprint = f"r{i - 1}" if i % 11 == 0 and i else f"r{i}"  # redeliveries
+                ingestor.push(connect(day, host=f"H{i % 7}"), fingerprint)
+            lines = [json.loads(line) for line in exporter.jsonl_path.read_text().splitlines()]
+            return built, lines
+        finally:
+            set_telemetry(Telemetry(enabled=False))
+
+    def test_durable_dict_built_once_per_flush(self, tmp_path):
+        built, lines = self.run(tmp_path, every=50)
+        assert len(lines) == 4
+        assert built == [50, 100, 150, 200]
+
+    def test_exports_equal_per_tick_exports_at_the_same_ticks(self, tmp_path):
+        _, sparse = self.run(tmp_path, every=50)
+        built, dense = self.run(tmp_path, every=1)
+        assert len(built) == len(dense) == 230
+        for line, reference in zip(sparse, dense[49::50]):
+            assert line["counters"] == reference["counters"]
+            assert line["durable"] == reference["durable"]
+            assert line["gauges"] == reference["gauges"]
+        assert sparse[-1]["durable"]["ingest.events_duplicate"] > 0
+
+
 class TestTelemetry:
     def test_counters_flow(self):
         telemetry = Telemetry(enabled=True)
@@ -219,6 +332,27 @@ class TestTelemetry:
             assert metrics["counters"]["ingest.days_sealed"] == 1
             assert metrics["histograms"]["ingest.seal_latency_seconds"]["count"] == 1
             assert metrics["gauges"]["ingest.open_days"] == 1
+        finally:
+            set_telemetry(Telemetry(enabled=False))
+
+    def test_open_days_gauge_tracks_span_at_every_push(self):
+        telemetry = Telemetry(enabled=True)
+        set_telemetry(telemetry)
+        try:
+            ingestor = make_ingestor(allowed_lateness_days=2)
+            offsets = [0, 1, 0, 3, 2, 2, 1, 5, 4, 5, 3, 6]
+            for i, offset in enumerate(offsets):
+                ingestor.push(connect(offset, host=f"H{i}"), f"r{i}")
+                assert telemetry.metrics.gauge("ingest.open_days").value == ingestor.open_day_span
+            doc, arrays = ingestor.export_state()
+            # A resumed ingestor under fresh telemetry publishes on its
+            # first consumed delivery, even one that does not move the clock.
+            fresh = Telemetry(enabled=True)
+            set_telemetry(fresh)
+            resumed = make_ingestor(allowed_lateness_days=2)
+            resumed.restore_state(doc, arrays)
+            resumed.push(connect(5, host="H-new"), "r-new")
+            assert fresh.metrics.gauge("ingest.open_days").value == resumed.open_day_span == 3
         finally:
             set_telemetry(Telemetry(enabled=False))
 

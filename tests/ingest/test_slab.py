@@ -1,14 +1,23 @@
 """SlabBuilder / CertSlabAccumulator: incremental counting semantics."""
 
 from datetime import date, datetime
+from itertools import product
 
 import numpy as np
 import pytest
 
-from repro.features.cert import CertSlabAccumulator, extract_cert_measurements
+from repro.features.cert import FILE_ASPECT, CertSlabAccumulator, extract_cert_measurements
 from repro.ingest import SlabBuilder, arrival_order, shuffled_arrival
-from repro.logs.schema import DeviceEvent, FileEvent, HttpEvent, LogonEvent
+from repro.logs.schema import (
+    FILE_ACTIVITIES,
+    FILE_LOCATIONS,
+    DeviceEvent,
+    FileEvent,
+    HttpEvent,
+    LogonEvent,
+)
 from repro.logs.store import LogStore
+from repro.utils.timeutil import WORKING_HOURS
 
 USERS = ["u0", "u1"]
 
@@ -111,6 +120,40 @@ class TestAccumulatorSemantics:
         assert slab.shape == (2, len(acc.feature_set), 2)
         assert np.all(slab == 0.0)
 
+    def test_every_file_operation_counts_its_direction_feature(self):
+        # The precomputed direction table, against the per-event naming
+        # rule it replaces, for every valid file event.
+        directions = [f for f in FILE_ASPECT.feature_names if f != "file-new-op"]
+        checked = 0
+        for activity, src, dst in product(
+            FILE_ACTIVITIES, (None, *FILE_LOCATIONS), (None, *FILE_LOCATIONS)
+        ):
+            try:
+                event = FileEvent(datetime(2010, 3, 1, 10), "u0", activity, "f1", src, dst)
+            except ValueError:
+                continue  # not a valid file event
+            acc = CertSlabAccumulator(USERS)
+            acc.add(event)
+            slab = acc.seal(date(2010, 3, 1))
+            expected = {
+                "open": f"file-open-from-{src}",
+                "write": f"file-write-to-{dst}",
+                "copy": f"file-copy-{src}-to-{dst}",
+            }.get(activity)
+            for name in directions:
+                count = slab[0, acc.feature_set.index_of(name), 0]
+                assert count == (1.0 if name == expected else 0.0), (event, name)
+            checked += 1
+        assert checked == 6 + 6 + 4 + 9  # open, write, copy, delete
+
+    def test_uncovered_hour_refused_before_any_state(self):
+        acc = CertSlabAccumulator(USERS, timeframes=(WORKING_HOURS,))
+        with pytest.raises(ValueError, match="no time-frame covers hour 20"):
+            acc.add(day_connect(1, hour=20))
+        assert acc.open_days() == []
+        # Untracked events never resolve a frame, so they are not refused.
+        assert not acc.add(DeviceEvent(datetime(2010, 3, 1, 20), "u0", "disconnect", "H1"))
+
 
 class TestBuilderDedup:
     def test_duplicate_fingerprint_rejected(self):
@@ -145,6 +188,23 @@ class TestBuilderDedup:
         event = LogonEvent(datetime(2010, 3, 1, 9), "u0", "logon", "PC-1")
         assert builder.add(event, "r1")
         assert builder.is_duplicate(date(2010, 3, 1), "r1")
+
+    def test_uncovered_hour_refusal_records_nothing(self):
+        builder = SlabBuilder(USERS, timeframes=(WORKING_HOURS,))
+        with pytest.raises(ValueError, match="no time-frame covers hour 20"):
+            builder.add(day_connect(1, hour=20), "r1")
+        assert builder.open_days() == []
+        assert builder.buffered_records == 0
+        # The refused delivery was not recorded, so it is not a duplicate.
+        assert not builder.is_duplicate(date(2010, 3, 1), "r1")
+
+    def test_precomputed_day_matches_derived_day(self):
+        derived, given = SlabBuilder(USERS), SlabBuilder(USERS)
+        for i, event in enumerate([day_connect(1), day_connect(1, hour=22), day_connect(2)]):
+            derived.add(event, f"r{i}")
+            given.add(event, f"r{i}", event.day)
+        for day in (date(2010, 3, 1), date(2010, 3, 2)):
+            np.testing.assert_array_equal(derived.seal(day), given.seal(day))
 
     def test_add_to_sealed_day_raises_even_for_untracked(self):
         builder = SlabBuilder(USERS)

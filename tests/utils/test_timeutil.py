@@ -13,6 +13,7 @@ from repro.utils.timeutil import (
     TimeFrame,
     date_range,
     frame_index_of,
+    frame_lookup,
     hourly_timeframes,
     iter_days,
 )
@@ -72,6 +73,38 @@ class TestFrameIndex:
     def test_no_cover_raises(self):
         with pytest.raises(ValueError):
             frame_index_of((WORKING_HOURS,), datetime(2010, 1, 1, 20))
+
+    @pytest.mark.parametrize(
+        "timeframes",
+        [
+            TWO_TIMEFRAMES,
+            hourly_timeframes(),
+            # Leaves 12:00-14:00 and 20:00-22:00 uncovered; 15:00-17:00 is
+            # in two frames, so "first frame wins" is exercised too.
+            (TimeFrame("a", 22, 12), TimeFrame("b", 14, 20), TimeFrame("c", 15, 17)),
+        ],
+        ids=["two", "hourly", "gapped"],
+    )
+    def test_lookup_table_matches_per_frame_loop(self, timeframes):
+        lookup = frame_lookup(timeframes)
+        for hour in range(24):
+            ts = datetime(2010, 1, 1, hour, 30)
+            expected = next(
+                (i for i, frame in enumerate(timeframes) if frame.contains(ts)), None
+            )
+            if expected is None:
+                message = f"no time-frame covers hour {hour} ({ts.isoformat()})"
+                with pytest.raises(ValueError) as lookup_error:
+                    lookup(ts)
+                with pytest.raises(ValueError) as index_error:
+                    frame_index_of(list(timeframes), ts)
+                assert str(lookup_error.value) == str(index_error.value) == message
+            else:
+                assert lookup(ts) == frame_index_of(list(timeframes), ts) == expected
+
+    def test_lookup_is_cached_per_frame_set(self):
+        assert frame_lookup(TWO_TIMEFRAMES) is frame_lookup(tuple(TWO_TIMEFRAMES))
+        assert frame_lookup(TWO_TIMEFRAMES) is not frame_lookup(hourly_timeframes())
 
 
 class TestDateRange:
