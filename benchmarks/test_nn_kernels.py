@@ -49,8 +49,6 @@ def test_nn_kernel_throughput():
         x,
         epochs=EPOCHS,
         batch_size=BATCH_SIZE,
-        loss="mse",
-        optimizer="adadelta",
         validation_split=0.0,
         shuffle=True,
     )

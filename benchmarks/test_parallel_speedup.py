@@ -39,7 +39,6 @@ def build_tasks():
             encoder_units=(128, 64, 32),
             epochs=25,
             batch_size=32,
-            optimizer="adadelta",
             early_stopping_patience=None,
             validation_split=0.0,
             seed=derive_seed(17, index),

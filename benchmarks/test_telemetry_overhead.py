@@ -37,7 +37,6 @@ def build_tasks():
             encoder_units=(64, 32, 16),
             epochs=15,
             batch_size=32,
-            optimizer="adadelta",
             early_stopping_patience=None,
             validation_split=0.0,
             seed=derive_seed(29, index),

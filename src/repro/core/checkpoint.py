@@ -71,6 +71,7 @@ import numpy as np
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.core.persistence import atomic_write_bytes, file_sha256
 from repro.core.streaming import StreamingDetector, StreamState
+from repro.nn.autoencoder import RETIRED_FIELDS
 from repro.obs import get_telemetry
 
 __all__ = [
@@ -144,8 +145,13 @@ def config_digest(config: ModelConfig) -> str:
     the default when checkpoints were first written, so those resume
     under any worker count.  The autoencoder ``dtype`` stays in:
     float32 and float64 runs are *not* numerically interchangeable.
+    The retired autoencoder fields are hashed at their fixed values
+    (:data:`repro.nn.autoencoder.RETIRED_FIELDS`), as when they were
+    settable, so existing digests stay valid.
     """
-    canonical = json.dumps(asdict(replace(config, n_jobs=1)), sort_keys=True, default=list)
+    fields = asdict(replace(config, n_jobs=1))
+    fields["autoencoder"].update(RETIRED_FIELDS)
+    canonical = json.dumps(fields, sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -41,7 +41,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.features.measurements import MeasurementCube
-from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
+from repro.nn.autoencoder import RETIRED_FIELDS, Autoencoder, AutoencoderConfig
 from repro.nn.serialization import load_network, save_network
 
 __all__ = [
@@ -136,10 +136,8 @@ def save_model(model: CompoundBehaviorModel, directory: Union[str, Path]) -> Pat
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    config_dict = asdict(model.config)
-    config_dict["autoencoder"].pop("extra", None)
     payload = {
-        "config": config_dict,
+        "config": asdict(model.config),
         "aspects": {},
     }
     for aspect in model.aspect_names:
@@ -158,12 +156,15 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
     The returned model has its autoencoders restored but no behavioural
     representation yet; call :func:`attach_representation` before
     scoring.  Models saved by older builds load too: the config keys
-    those builds had and this one removed are dropped.
+    those builds had and this one removed are dropped, the retired
+    autoencoder fields (:data:`repro.nn.autoencoder.RETIRED_FIELDS`)
+    only at the values this build trains with.
 
     Raises:
         FileNotFoundError: when ``directory`` has no ``config.json``.
         PersistenceError: when ``config.json`` or a weight archive is
-            truncated, corrupt, or references a missing file.
+            truncated, corrupt, or references a missing file, or when
+            the config sets a retired field to another value.
     """
     directory = Path(directory)
     config_path = directory / _CONFIG_FILE
@@ -178,7 +179,13 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
         config_dict = dict(payload["config"])
         ae_dict = dict(config_dict.pop("autoencoder"))
         ae_dict["encoder_units"] = tuple(ae_dict["encoder_units"])
-        ae_dict.pop("extra", None)
+        for key, value in RETIRED_FIELDS.items():
+            saved = ae_dict.pop(key, value)
+            if saved != value:
+                raise PersistenceError(
+                    f"model config {config_path} sets autoencoder {key!r} to "
+                    f"{saved!r}; this build trains only with {value!r}"
+                )
         # Knobs that older builds saved and this one removed; neither
         # ever changed results (user sharding, the nn arena switch).
         config_dict.pop("n_shards", None)

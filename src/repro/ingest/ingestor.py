@@ -243,6 +243,10 @@ class Ingestor:
         for name in ("ingest.events", "ingest.events_late", "ingest.events_duplicate",
                      "ingest.days_sealed"):
             telemetry.counter(name)
+        #: ``(day, cause)`` once sealing a day failed; the stream is then
+        #: torn (the builder sealed the day, the cursor did not move) and
+        #: every later push, flush or export raises (:meth:`_raise_closed`).
+        self._failure: Optional[Tuple[date, BaseException]] = None
         # Monitoring-plane attachments; both optional, both observational.
         self._exporter = None
         self._quality_monitor = None
@@ -363,7 +367,10 @@ class Ingestor:
                 delivery is not consumed).
             ValueError: no time-frame of the builder covers the event's
                 hour (the delivery is not consumed).
+            IngestError: an earlier seal failed (see :meth:`_seal_until`).
         """
+        if self._failure is not None:
+            self._raise_closed()
         telemetry = get_telemetry()
         day = event.timestamp.date()
         if fingerprint is None:
@@ -446,7 +453,12 @@ class Ingestor:
         force-seals through the newest observed event day, or through
         ``until`` when that is later (backfilling trailing empty
         calendar days up to a known range end).
+
+        Raises:
+            IngestError: an earlier seal failed (see :meth:`_seal_until`).
         """
+        if self._failure is not None:
+            self._raise_closed()
         telemetry = get_telemetry()
         if self._cursor is None:
             # Nothing pushed and no start_day: no day axis to seal along.
@@ -495,17 +507,36 @@ class Ingestor:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
+    def _raise_closed(self) -> None:
+        day, cause = self._failure
+        raise IngestError(
+            f"ingestor closed: sealing day {day.isoformat()} failed "
+            f"({type(cause).__name__}: {cause}); resume from the last checkpoint"
+        ) from cause
+
     def _seal_until(self, target: date, telemetry) -> List[IngestResult]:
+        """Seal and score every day through ``target``, oldest first.
+
+        Fails closed: an exception from sealing or scoring a day (the
+        detector's, say) propagates unchanged, and the ingestor refuses
+        every later push, flush and export with :class:`IngestError`,
+        because the builder may already have sealed a day the cursor has
+        not passed.
+        """
         results: List[IngestResult] = []
         day = self._cursor + _ONE_DAY
         while day <= target:
             started = time.perf_counter()
             n_records = self._builder.records_in(day)
-            slab = self._builder.seal(day)
-            if self._detector is not None:
-                result = self._detector.observe_day(day, slab)
-            else:
-                result = SealedSlab(day=day, slab=slab, n_records=n_records)
+            try:
+                slab = self._builder.seal(day)
+                if self._detector is not None:
+                    result = self._detector.observe_day(day, slab)
+                else:
+                    result = SealedSlab(day=day, slab=slab, n_records=n_records)
+            except BaseException as exc:
+                self._failure = (day, exc)
+                raise
             self._cursor = day
             self.days_sealed += 1
             telemetry.counter("ingest.days_sealed").inc()
@@ -536,7 +567,13 @@ class Ingestor:
         state is checkpointed separately (``repro.core.checkpoint``).
         ``seen_offset`` skips the seen-set rows a checkpoint already holds
         (see :meth:`SlabBuilder.export_state`); 0 exports them all.
+
+        Raises:
+            IngestError: an earlier seal failed, so the state is torn and
+                must not be checkpointed (see :meth:`_seal_until`).
         """
+        if self._failure is not None:
+            self._raise_closed()
         builder_doc, arrays = self._builder.export_state(seen_offset)
         doc = {
             "lineage": self.lineage,

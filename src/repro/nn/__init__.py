@@ -3,14 +3,14 @@
 The paper implements its models with TensorFlow 2.0 Keras (``Dense`` layers
 activated by ReLU, ``BatchNormalization`` between layers, the Adadelta
 optimizer, and an MSE loss).  TensorFlow is not available in this
-environment, so this subpackage provides the equivalent building blocks on
-top of numpy with hand-written, gradient-checked backpropagation:
+environment, so this subpackage provides exactly that model on top of
+numpy with hand-written, gradient-checked backpropagation:
 
 * :mod:`repro.nn.initializers` -- Glorot/He/zero initialization schemes.
-* :mod:`repro.nn.layers` -- ``Dense``, ``BatchNormalization``, activations
-  and ``Dropout`` layers with ``forward``/``backward`` passes.
-* :mod:`repro.nn.losses` -- mean-squared-error and mean-absolute-error.
-* :mod:`repro.nn.optimizers` -- SGD, Momentum, RMSProp, Adadelta and Adam.
+* :mod:`repro.nn.layers` -- ``Dense``, ``BatchNormalization``, ``ReLU``
+  and ``Sigmoid`` layers with ``forward``/``backward`` passes.
+* :mod:`repro.nn.losses` -- the mean-squared-error loss.
+* :mod:`repro.nn.optimizers` -- the Adadelta optimizer.
 * :mod:`repro.nn.network` -- a ``Sequential`` container with a mini-batch
   training loop (shuffling, validation split, early stopping).
 * :mod:`repro.nn.data` -- the lazy *row source* protocol the training
@@ -28,20 +28,11 @@ top of numpy with hand-written, gradient-checked backpropagation:
 
 from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
 from repro.nn.data import ArrayRowSource, input_dim_of, is_row_source, n_samples_of
-from repro.nn.layers import (
-    BatchNormalization,
-    Dense,
-    Dropout,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import BatchNormalization, Dense, ReLU, Sigmoid
 from repro.nn.callbacks import Callback, CallbackList, EpochLogger, TelemetryCallback
-from repro.nn.losses import Loss, MeanAbsoluteError, MeanSquaredError
+from repro.nn.losses import MeanSquaredError
 from repro.nn.network import Sequential, TrainingHistory
-from repro.nn.optimizers import SGD, Adadelta, Adam, Momentum, Optimizer, RMSProp
+from repro.nn.optimizers import Adadelta, Optimizer
 from repro.nn.parallel import (
     AspectTask,
     TrainedAspect,
@@ -54,7 +45,6 @@ from repro.nn.serialization import load_network, save_network
 
 __all__ = [
     "Adadelta",
-    "Adam",
     "ArrayRowSource",
     "AspectTask",
     "Autoencoder",
@@ -63,21 +53,12 @@ __all__ = [
     "Callback",
     "CallbackList",
     "Dense",
-    "Dropout",
     "EpochLogger",
-    "LeakyReLU",
-    "Linear",
-    "Loss",
-    "MeanAbsoluteError",
     "MeanSquaredError",
-    "Momentum",
     "Optimizer",
     "ReLU",
-    "RMSProp",
     "Sequential",
-    "SGD",
     "Sigmoid",
-    "Tanh",
     "TelemetryCallback",
     "TrainedAspect",
     "TrainingHistory",

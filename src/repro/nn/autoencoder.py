@@ -5,21 +5,21 @@ Architecture (Section V, "Implementation"): encoder hidden sizes
 layer ReLU-activated with BatchNormalization between layers, trained with
 Adadelta on an MSE loss.  Inputs are flattened compound behavioral
 deviation matrices mapped to [0, 1], so the reconstruction head is a
-sigmoid by default.
+sigmoid.  That recipe is fixed: the config sets only sizes, training-loop
+settings, the seed and the dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.data import is_row_source
-from repro.nn.layers import BatchNormalization, Dense, Layer, get_activation
-from repro.nn.losses import MeanAbsoluteError, MeanSquaredError
+from repro.nn.layers import BatchNormalization, Dense, Layer, ReLU, Sigmoid
+from repro.nn.losses import MeanSquaredError
 from repro.nn.network import Sequential, TrainingHistory
-from repro.nn.optimizers import Optimizer
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class AutoencoderConfig:
     Attributes:
         encoder_units: hidden sizes of the encoder; the decoder mirrors
             them in reverse.  Defaults to the paper's 512/256/128/64.
-        activation: hidden activation ('relu' in the paper).
-        output_activation: reconstruction head; 'sigmoid' suits the
-            paper's [0, 1]-normalized inputs.
-        batch_norm: insert BatchNormalization between layers (paper: yes).
-        epochs / batch_size / optimizer: training-loop settings.
+        epochs / batch_size: training-loop settings.
         early_stopping_patience: epochs without improvement before stop.
         validation_split: fraction held out to monitor early stopping.
         seed: RNG seed for weight init and shuffling.
@@ -43,18 +39,12 @@ class AutoencoderConfig:
     """
 
     encoder_units: Tuple[int, ...] = (512, 256, 128, 64)
-    activation: str = "relu"
-    output_activation: str = "sigmoid"
-    batch_norm: bool = True
     epochs: int = 100
     batch_size: int = 64
-    optimizer: str = "adadelta"
-    loss: str = "mse"
     early_stopping_patience: Optional[int] = 10
     validation_split: float = 0.1
     seed: Optional[int] = 7
     dtype: str = "float64"
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not self.encoder_units:
@@ -68,6 +58,21 @@ class AutoencoderConfig:
 
         units = tuple(max(2, int(round(u * factor))) for u in self.encoder_units)
         return replace(self, encoder_units=units)
+
+
+#: Fields ``AutoencoderConfig`` once had, at the only values any model
+#: was trained with.  Models saved before the recipe was fixed carry them:
+#: :func:`repro.core.persistence.load_model` accepts them at these values
+#: only, and :func:`repro.core.checkpoint.config_digest` still hashes them,
+#: so the digests of existing checkpoints stay valid.
+RETIRED_FIELDS = {
+    "activation": "relu",
+    "output_activation": "sigmoid",
+    "batch_norm": True,
+    "optimizer": "adadelta",
+    "loss": "mse",
+    "extra": {},
+}
 
 
 class Autoencoder:
@@ -95,21 +100,11 @@ class Autoencoder:
         self._fitted = False
 
     def _build_layers(self) -> List[Layer]:
-        cfg = self.config
+        units = self.config.encoder_units
         layers: List[Layer] = []
-        encoder = list(cfg.encoder_units)
-        decoder = list(reversed(cfg.encoder_units[:-1])) + [self.input_dim]
-        hidden = encoder + decoder
-        for i, units in enumerate(hidden):
-            layers.append(Dense(units))
-            is_output = i == len(hidden) - 1
-            if is_output:
-                layers.append(get_activation(cfg.output_activation))
-            else:
-                if cfg.batch_norm:
-                    layers.append(BatchNormalization())
-                layers.append(get_activation(cfg.activation))
-        return layers
+        for width in list(units) + list(reversed(units[:-1])):
+            layers += [Dense(width), BatchNormalization(), ReLU()]
+        return layers + [Dense(self.input_dim), Sigmoid()]
 
     @property
     def code_dim(self) -> int:
@@ -123,7 +118,6 @@ class Autoencoder:
     def fit(
         self,
         x: np.ndarray,
-        optimizer: Optional[Union[str, Optimizer]] = None,
         verbose: bool = False,
         callbacks: Optional[Sequence] = None,
     ) -> TrainingHistory:
@@ -150,8 +144,6 @@ class Autoencoder:
             x,
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
-            loss=cfg.loss,
-            optimizer=optimizer or cfg.optimizer,
             validation_split=split,
             early_stopping_patience=cfg.early_stopping_patience,
             verbose=verbose,
@@ -182,22 +174,15 @@ class Autoencoder:
                 return x
         raise RuntimeError("bottleneck activation not found")  # pragma: no cover
 
-    def reconstruction_error(
-        self, x: np.ndarray, metric: str = "mse", batch_size: int = 1024
-    ) -> np.ndarray:
-        """Per-sample anomaly score: reconstruction error of each row.
+    def reconstruction_error(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+        """Per-sample anomaly score: reconstruction MSE of each row.
 
         Accepts a dense array or a row source (:mod:`repro.nn.data`);
         row sources are scored in ``batch_size`` chunks so only one
         batch of flattened vectors is ever materialized.  Scores are
         per-row, hence identical either way.
         """
-        if metric == "mse":
-            per_sample = MeanSquaredError.per_sample
-        elif metric == "mae":
-            per_sample = MeanAbsoluteError.per_sample
-        else:
-            raise ValueError(f"unknown metric {metric!r}; expected 'mse' or 'mae'")
+        per_sample = MeanSquaredError.per_sample
         if is_row_source(x):
             if int(x.dim) != self.input_dim:
                 raise ValueError(f"expected rows of width {self.input_dim}, got {x.dim}")

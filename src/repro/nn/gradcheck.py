@@ -6,12 +6,12 @@ pass against a numerical derivative of the loss.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.nn.layers import Layer
-from repro.nn.losses import Loss, MeanSquaredError
+from repro.nn.losses import MeanSquaredError
 
 
 def numerical_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -40,16 +40,15 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 def check_layer_input_gradient(
     layer: Layer,
     x: np.ndarray,
-    loss: Optional[Loss] = None,
     training: bool = True,
     eps: float = 1e-6,
 ) -> float:
     """Compare the layer's dL/dx against a numerical estimate.
 
-    The scalar objective is ``loss(target=0, layer(x))``; returns the max
+    The scalar objective is ``MSE(target=0, layer(x))``; returns the max
     relative error between analytic and numerical input gradients.
     """
-    loss = loss or MeanSquaredError()
+    loss = MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
 
     def objective(inp: np.ndarray) -> float:
@@ -65,7 +64,6 @@ def check_layer_input_gradient(
 def check_layer_param_gradients(
     layer: Layer,
     x: np.ndarray,
-    loss: Optional[Loss] = None,
     training: bool = True,
     eps: float = 1e-6,
 ) -> dict:
@@ -74,7 +72,7 @@ def check_layer_param_gradients(
     Returns:
         Mapping of parameter name to max relative error.
     """
-    loss = loss or MeanSquaredError()
+    loss = MeanSquaredError()
     x = np.asarray(x, dtype=np.float64)
 
     out = layer.forward(x, training=training)

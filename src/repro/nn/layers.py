@@ -1,5 +1,7 @@
-"""Layers with explicit forward/backward passes.
+"""The paper's layers with explicit forward/backward passes.
 
+``Dense`` and ``BatchNormalization`` with ReLU hidden activations and a
+Sigmoid reconstruction head are the autoencoder's only layer types.
 Every layer follows the same contract:
 
 * ``forward(x, training)`` consumes a batch ``(n, d_in)`` and returns
@@ -352,41 +354,6 @@ class ReLU(Layer):
         return grad_out
 
 
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope ``0 <= alpha <= 1``."""
-
-    def __init__(self, alpha: float = 0.01):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        self.alpha = alpha
-        self._slope: Optional[np.ndarray] = None
-
-    def forward(
-        self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
-    ) -> np.ndarray:
-        del training
-        ws = ws or Workspace()
-        mask = ws.acquire(x.shape, np.bool_)
-        np.greater(x, 0, out=mask)
-        # slope = where(mask, 1, alpha): max(mask, alpha) is 1 on the kept
-        # elements and alpha on the others because 0 <= alpha <= 1.  It is
-        # built in x's dtype (alpha rounds to float32 there) and serves
-        # both passes: x * 1 is exact and x * alpha is alpha * x.
-        slope = ws.acquire(x.shape, x.dtype)
-        np.maximum(mask, x.dtype.type(self.alpha), out=slope)
-        self._slope = slope
-        out = ws.acquire(x.shape, x.dtype)
-        np.multiply(x, slope, out=out)
-        return out
-
-    def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
-        if self._slope is None:
-            raise RuntimeError("backward() called before forward()")
-        del ws
-        np.multiply(grad_out, self._slope, out=grad_out)
-        return grad_out
-
-
 class Sigmoid(Layer):
     """Logistic sigmoid; used as the reconstruction head for [0, 1] inputs."""
 
@@ -428,107 +395,3 @@ class Sigmoid(Layer):
         np.multiply(grad_out, self._out, out=grad_out)
         np.multiply(grad_out, t, out=grad_out)
         return grad_out
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
-
-    def forward(
-        self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
-    ) -> np.ndarray:
-        del training
-        ws = ws or Workspace()
-        out = ws.acquire(x.shape, x.dtype)
-        np.tanh(x, out=out)
-        self._out = out
-        return out
-
-    def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward() called before forward()")
-        ws = ws or Workspace()
-        # grad * (1 - out**2)
-        t = ws.acquire(grad_out.shape, self._out.dtype)
-        np.multiply(self._out, self._out, out=t)
-        np.subtract(1.0, t, out=t)
-        np.multiply(grad_out, t, out=grad_out)
-        return grad_out
-
-
-class Linear(Layer):
-    """Identity activation (useful as an explicit 'no-op' head)."""
-
-    def forward(
-        self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
-    ) -> np.ndarray:
-        del training, ws
-        return x
-
-    def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
-        del ws
-        return grad_out
-
-
-class Dropout(Layer):
-    """Inverted dropout; a no-op at inference time."""
-
-    def __init__(self, rate: float, seed: Optional[int] = None):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = np.random.default_rng(seed)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(
-        self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
-    ) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        ws = ws or Workspace()
-        keep = 1.0 - self.rate
-        # The draw stays float64 whatever the compute dtype, so the RNG
-        # stream (and therefore the mask) does not depend on the dtype.
-        draw = ws.acquire(x.shape, np.float64)
-        self._rng.random(out=draw)
-        keep_mask = ws.acquire(x.shape, np.bool_)
-        np.less(draw, keep, out=keep_mask)
-        mask64 = ws.acquire(x.shape, np.float64)
-        np.divide(keep_mask, keep, out=mask64)
-        if x.dtype == np.float64:
-            mask = mask64
-        else:
-            mask = ws.acquire(x.shape, x.dtype)
-            np.copyto(mask, mask64)  # the cast .astype performs
-        self._mask = mask
-        out = ws.acquire(x.shape, x.dtype)
-        np.multiply(x, mask, out=out)
-        return out
-
-    def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
-        del ws
-        if self._mask is None:
-            return grad_out
-        np.multiply(grad_out, self._mask, out=grad_out)
-        return grad_out
-
-
-_ACTIVATIONS = {
-    "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-    "sigmoid": Sigmoid,
-    "tanh": Tanh,
-    "linear": Linear,
-}
-
-
-def get_activation(name: str) -> Layer:
-    """Instantiate an activation layer by name."""
-    try:
-        return _ACTIVATIONS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_ACTIVATIONS))
-        raise ValueError(f"unknown activation {name!r}; expected one of: {known}") from None

@@ -25,8 +25,8 @@ import numpy as np
 from repro.nn.callbacks import CallbackList, EpochLogger
 from repro.nn.data import is_row_source
 from repro.nn.layers import Layer, Parameter
-from repro.nn.losses import Loss, get_loss
-from repro.nn.optimizers import Optimizer, get_optimizer
+from repro.nn.losses import MeanSquaredError
+from repro.nn.optimizers import Adadelta
 from repro.nn.workspace import Workspace
 from repro.obs import get_telemetry
 
@@ -126,7 +126,7 @@ class Sequential:
     def forward(
         self, x: np.ndarray, training: bool = False, ws: Optional[Workspace] = None
     ) -> np.ndarray:
-        """Run the full stack; ``training`` toggles BatchNorm/Dropout mode.
+        """Run the full stack; ``training`` toggles BatchNorm's batch statistics.
 
         With ``ws``, layer outputs live in that arena and are only valid
         until its next ``reset()`` -- copy anything that must survive.
@@ -173,8 +173,6 @@ class Sequential:
         y: Optional[np.ndarray] = None,
         epochs: int = 10,
         batch_size: int = 32,
-        loss: Union[str, Loss] = "mse",
-        optimizer: Union[str, Optimizer] = "adadelta",
         validation_split: float = 0.0,
         shuffle: bool = True,
         early_stopping_patience: Optional[int] = None,
@@ -182,7 +180,7 @@ class Sequential:
         verbose: bool = False,
         callbacks: Optional[Sequence] = None,
     ) -> TrainingHistory:
-        """Train with mini-batch gradient descent.
+        """Train with mini-batch Adadelta on the MSE loss, as in the paper.
 
         Args:
             x: training inputs -- a ``(n, input_dim)`` array, or a row
@@ -193,8 +191,6 @@ class Sequential:
             y: targets; defaults to ``x`` (autoencoder reconstruction).
             epochs: maximum number of passes over the data.
             batch_size: mini-batch size.
-            loss: loss name or instance (default MSE, as in the paper).
-            optimizer: optimizer name or instance (default Adadelta).
             validation_split: trailing fraction of the (shuffled) data held
                 out for validation loss / early stopping.
             shuffle: reshuffle training rows every epoch.
@@ -256,8 +252,8 @@ class Sequential:
         if not self.built:
             self.build(width)
 
-        loss_fn = get_loss(loss) if isinstance(loss, str) else loss
-        opt = get_optimizer(optimizer) if isinstance(optimizer, str) else optimizer
+        loss_fn = MeanSquaredError()
+        opt = Adadelta()
         ws = self.workspace
 
         n_val = int(round(n_total * validation_split))
@@ -360,8 +356,7 @@ class Sequential:
         telemetry.gauge("nn.arena.peak_bytes").set(arena_after.peak_bytes)
         return history
 
-    def evaluate(self, x: np.ndarray, y: Optional[np.ndarray] = None, loss: Union[str, Loss] = "mse") -> float:
-        """Inference-mode loss over a dataset (computed in ``self.dtype``)."""
+    def evaluate(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> float:
+        """Inference-mode MSE over a dataset (computed in ``self.dtype``)."""
         y = np.asarray(x, dtype=self.dtype) if y is None else np.asarray(y, dtype=self.dtype)
-        loss_fn = get_loss(loss) if isinstance(loss, str) else loss
-        return loss_fn.value(y, self.predict(x))
+        return MeanSquaredError().value(y, self.predict(x))

@@ -22,7 +22,6 @@ TINY_AE = AutoencoderConfig(
     encoder_units=(8, 4),
     epochs=4,
     batch_size=16,
-    optimizer="adam",
     early_stopping_patience=None,
     validation_split=0.0,
     seed=1,
@@ -63,7 +62,6 @@ def fit_model(cube, group_map, n_jobs=1, seed=1):
             encoder_units=TINY_AE.encoder_units,
             epochs=TINY_AE.epochs,
             batch_size=TINY_AE.batch_size,
-            optimizer=TINY_AE.optimizer,
             early_stopping_patience=None,
             validation_split=0.0,
             seed=seed,

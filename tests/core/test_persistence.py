@@ -16,7 +16,6 @@ TINY_AE = AutoencoderConfig(
     encoder_units=(8, 4),
     epochs=3,
     batch_size=16,
-    optimizer="adam",
     early_stopping_patience=None,
     validation_split=0.0,
     seed=1,
@@ -126,6 +125,42 @@ def test_load_drops_removed_config_keys(tmp_path, cube, fitted, edit):
     restored = loaded.score(test_days)
     for aspect in original:
         np.testing.assert_array_equal(original[aspect], restored[aspect])
+
+
+#: The autoencoder keys models saved before the recipe was fixed carry,
+#: at the values those builds wrote.
+RETIRED_AE_KEYS = {
+    "activation": "relu",
+    "output_activation": "sigmoid",
+    "batch_norm": True,
+    "optimizer": "adadelta",
+    "loss": "mse",
+}
+
+
+def test_load_accepts_retired_keys_at_paper_values(tmp_path, cube, fitted):
+    save_model(fitted, tmp_path / "model")
+    _edit_saved_config(tmp_path / "model", lambda c: c["autoencoder"].update(RETIRED_AE_KEYS))
+    loaded = load_model(tmp_path / "model")
+    assert loaded.config == fitted.config
+    attach_representation(loaded, cube, None, DAYS[:20])
+    test_days = fitted.valid_anchor_days(DAYS[20:])
+    original = fitted.score(test_days)
+    restored = loaded.score(test_days)
+    for aspect in original:
+        np.testing.assert_array_equal(original[aspect], restored[aspect])
+
+
+@pytest.mark.parametrize("key,value", [("activation", "tanh"), ("optimizer", "adam")])
+def test_load_rejects_retired_key_at_other_value(tmp_path, fitted, key, value):
+    from repro.core.persistence import PersistenceError
+
+    save_model(fitted, tmp_path / "model")
+    _edit_saved_config(
+        tmp_path / "model", lambda c: c["autoencoder"].update(RETIRED_AE_KEYS, **{key: value})
+    )
+    with pytest.raises(PersistenceError, match=f"'{key}' to '{value}'"):
+        load_model(tmp_path / "model")
 
 
 @pytest.mark.parametrize(

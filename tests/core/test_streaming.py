@@ -17,7 +17,6 @@ TINY_AE = AutoencoderConfig(
     encoder_units=(8, 4),
     epochs=3,
     batch_size=16,
-    optimizer="adam",
     early_stopping_patience=None,
     validation_split=0.0,
     seed=1,

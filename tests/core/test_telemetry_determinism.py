@@ -61,7 +61,6 @@ def run_pipeline(cube, group_map, telemetry, n_jobs=1):
                 encoder_units=(8, 4),
                 epochs=4,
                 batch_size=16,
-                optimizer="adam",
                 early_stopping_patience=None,
                 validation_split=0.0,
                 seed=1,

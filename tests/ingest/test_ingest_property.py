@@ -162,7 +162,7 @@ def stream_model():
     ).astype(float)
     cube = MeasurementCube(values, USERS, features, TWO_TIMEFRAMES, train_days)
     autoencoder = AutoencoderConfig(
-        encoder_units=(4, 2), epochs=1, batch_size=8, optimizer="adam",
+        encoder_units=(4, 2), epochs=1, batch_size=8,
         early_stopping_patience=None, validation_split=0.0, seed=1,
     )
     model = CompoundBehaviorModel(

@@ -9,6 +9,7 @@ import pytest
 from repro.ingest import (
     IngestBackpressureError,
     IngestConfig,
+    IngestError,
     Ingestor,
     LateEventError,
     SealedSlab,
@@ -364,3 +365,43 @@ class TestDetectorMismatch:
 
         with pytest.raises(ValueError, match="user axis"):
             Ingestor(SlabBuilder(USERS), FakeDetector(), IngestConfig())
+
+
+class TestDetectorFailure:
+    """An exception from the detector closes the ingestor: the day it was
+    scoring is sealed in the builder but not passed by the cursor, so
+    nothing may push, flush or checkpoint that torn state."""
+
+    class FirstDayFails:
+        users = USERS
+
+        def __init__(self):
+            self.days = []
+
+        def observe_day(self, day, slab):
+            self.days.append(day)
+            if len(self.days) == 1:
+                raise RuntimeError("scoring failed")
+            return None
+
+    def test_first_failure_reraised_then_every_call_fails_closed(self):
+        detector = self.FirstDayFails()
+        ingestor = Ingestor(
+            SlabBuilder(USERS), detector, IngestConfig(allowed_lateness_days=0, start_day=D)
+        )
+        assert ingestor.push(connect(0)) == []
+        with pytest.raises(RuntimeError, match="scoring failed") as original:
+            ingestor.push(connect(1))  # seals day 0, whose scoring raises
+        later_calls = {
+            "advancing push": lambda: ingestor.push(connect(3)),
+            "same-day push": lambda: ingestor.push(connect(1, user="u1")),
+            "late push": lambda: ingestor.push(connect(0, user="u1")),
+            "flush": ingestor.flush,
+            "export_state": ingestor.export_state,
+        }
+        for name, call in later_calls.items():
+            with pytest.raises(IngestError, match=D.isoformat()) as closed:
+                call()
+            assert closed.value.__cause__ is original.value, name
+        assert detector.days == [D]
+        assert ingestor.cursor == D - timedelta(days=1)

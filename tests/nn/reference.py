@@ -1,7 +1,7 @@
 """Frozen straight-line NumPy reference for ``repro.nn``.
 
-The library runs every layer, loss and optimizer through ``out=``
-kernels over a recycled buffer arena.  This module is the oracle those
+The library runs every layer, the MSE loss and the Adadelta optimizer
+through ``out=`` kernels over a recycled buffer arena.  This module is the oracle those
 kernels are pinned against: the same mathematics written as plain
 allocating NumPy expressions, one obvious statement per formula, with no
 workspace, no buffer reuse and no knobs.  Float64 training and
@@ -9,9 +9,9 @@ prediction through :class:`repro.nn.network.Sequential` must match
 :class:`ReferenceNet` bit for bit (``tests/nn/test_kernel_equivalence``).
 
 A reference network *mirrors* a built ``Sequential``: it copies the
-initial parameter values and the RNG states (network shuffling and
-Dropout masks), then trains independently.  Nothing here calls into
-the library's layers, losses or optimizers.
+initial parameter values and the shuffling RNG state, then trains
+independently.  Nothing here calls into the library's layers, loss or
+optimizer.
 """
 
 import copy
@@ -109,22 +109,6 @@ class ReLU:
         return grad * self.mask
 
 
-class LeakyReLU:
-    def __init__(self, layer):
-        self.alpha = layer.alpha
-
-    def params(self):
-        return []
-
-    def forward(self, x, training):
-        self.mask = x > 0
-        return np.where(self.mask, x, self.alpha * x)
-
-    def backward(self, grad):
-        # The slope takes the gradient's dtype, so float32 stays float32.
-        return grad * np.where(self.mask, 1.0, self.alpha).astype(grad.dtype)
-
-
 class Sigmoid:
     def __init__(self, layer):
         pass
@@ -145,61 +129,9 @@ class Sigmoid:
         return grad * self.out * (1.0 - self.out)
 
 
-class Tanh:
-    def __init__(self, layer):
-        pass
-
-    def params(self):
-        return []
-
-    def forward(self, x, training):
-        self.out = np.tanh(x)
-        return self.out
-
-    def backward(self, grad):
-        return grad * (1.0 - self.out**2)
-
-
-class Linear:
-    def __init__(self, layer):
-        pass
-
-    def params(self):
-        return []
-
-    def forward(self, x, training):
-        return x
-
-    def backward(self, grad):
-        return grad
-
-
-class Dropout:
-    def __init__(self, layer):
-        self.rate = layer.rate
-        self.rng = copy.deepcopy(layer._rng)
-        self.mask = None
-
-    def params(self):
-        return []
-
-    def forward(self, x, training):
-        if not training or self.rate == 0.0:
-            self.mask = None
-            return x
-        keep = 1.0 - self.rate
-        self.mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype)
-        return x * self.mask
-
-    def backward(self, grad):
-        if self.mask is None:
-            return grad
-        return grad * self.mask
-
-
 LAYERS = {
     cls.__name__: cls
-    for cls in (Dense, BatchNormalization, ReLU, LeakyReLU, Sigmoid, Tanh, Linear, Dropout)
+    for cls in (Dense, BatchNormalization, ReLU, Sigmoid)
 }
 
 
@@ -209,7 +141,7 @@ def mirror(layer):
 
 
 # ----------------------------------------------------------------------
-# losses
+# loss and optimizer (library default hyper-parameters)
 # ----------------------------------------------------------------------
 def mse_value(y, p):
     return float(np.mean((y - p) ** 2))
@@ -219,99 +151,23 @@ def mse_gradient(y, p):
     return 2.0 * (p - y) / y.size
 
 
-def mae_value(y, p):
-    return float(np.mean(np.abs(y - p)))
+class Adadelta:
+    lr, rho, eps = 1.0, 0.95, 1e-6
 
-
-def mae_gradient(y, p):
-    return np.sign(p - y) / y.size
-
-
-LOSSES = {"mse": (mse_value, mse_gradient), "mae": (mae_value, mae_gradient)}
-
-
-# ----------------------------------------------------------------------
-# optimizers (library default hyper-parameters)
-# ----------------------------------------------------------------------
-class Optimizer:
     def __init__(self):
         self.state = {}
 
     def step(self, params):
         for p in params:
-            self.update(p, self.state.setdefault(id(p), {}))
-
-
-def _zeros(state, key, p):
-    if key not in state:
-        state[key] = np.zeros_like(p.value)
-    return state[key]
-
-
-class SGD(Optimizer):
-    lr = 0.01
-
-    def update(self, p, state):
-        p.value -= self.lr * p.grad
-
-
-class Momentum(Optimizer):
-    lr, momentum = 0.01, 0.9
-
-    def update(self, p, state):
-        velocity = _zeros(state, "velocity", p)
-        velocity *= self.momentum
-        velocity -= self.lr * p.grad
-        p.value += velocity
-
-
-class RMSProp(Optimizer):
-    lr, rho, eps = 0.001, 0.9, 1e-7
-
-    def update(self, p, state):
-        acc = _zeros(state, "acc", p)
-        acc *= self.rho
-        acc += (1.0 - self.rho) * p.grad**2
-        p.value -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-
-
-class Adadelta(Optimizer):
-    lr, rho, eps = 1.0, 0.95, 1e-6
-
-    def update(self, p, state):
-        acc_grad = _zeros(state, "acc_grad", p)
-        acc_delta = _zeros(state, "acc_delta", p)
-        acc_grad *= self.rho
-        acc_grad += (1.0 - self.rho) * p.grad**2
-        update = np.sqrt(acc_delta + self.eps) / np.sqrt(acc_grad + self.eps) * p.grad
-        acc_delta *= self.rho
-        acc_delta += (1.0 - self.rho) * update**2
-        p.value -= self.lr * update
-
-
-class Adam(Optimizer):
-    lr, beta1, beta2, eps = 0.001, 0.9, 0.999, 1e-8
-
-    def update(self, p, state):
-        m = _zeros(state, "m", p)
-        v = _zeros(state, "v", p)
-        t = state["t"] = state.get("t", 0) + 1
-        m *= self.beta1
-        m += (1.0 - self.beta1) * p.grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * p.grad**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-OPTIMIZERS = {
-    "sgd": SGD,
-    "momentum": Momentum,
-    "rmsprop": RMSProp,
-    "adadelta": Adadelta,
-    "adam": Adam,
-}
+            if id(p) not in self.state:
+                self.state[id(p)] = (np.zeros_like(p.value), np.zeros_like(p.value))
+            acc_grad, acc_delta = self.state[id(p)]
+            acc_grad *= self.rho
+            acc_grad += (1.0 - self.rho) * p.grad**2
+            update = np.sqrt(acc_delta + self.eps) / np.sqrt(acc_grad + self.eps) * p.grad
+            acc_delta *= self.rho
+            acc_delta += (1.0 - self.rho) * update**2
+            p.value -= self.lr * update
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +209,6 @@ class ReferenceNet:
         y=None,
         epochs=10,
         batch_size=32,
-        loss="mse",
-        optimizer="adadelta",
         validation_split=0.0,
         shuffle=True,
         early_stopping_patience=None,
@@ -363,8 +217,7 @@ class ReferenceNet:
         """Returns ``(loss, val_loss, grad_norm)`` per-epoch lists."""
         x = np.asarray(x, dtype=self.dtype)
         y = x if y is None else np.asarray(y, dtype=self.dtype)
-        loss_value, loss_gradient = LOSSES[loss]
-        opt = OPTIMIZERS[optimizer]()
+        opt = Adadelta()
         n_total = x.shape[0]
         n_val = int(round(n_total * validation_split))
         if n_val > 0:
@@ -384,14 +237,14 @@ class ReferenceNet:
                 idx = train_idx[order[start : start + batch_size]]
                 xb, yb = x[idx], y[idx]
                 pred = self.forward(xb, training=True)
-                epoch_loss += loss_value(yb, pred) * len(idx)
-                self.backward(loss_gradient(yb, pred))
+                epoch_loss += mse_value(yb, pred) * len(idx)
+                self.backward(mse_gradient(yb, pred))
                 opt.step(params)
             epoch_loss /= n
             history[0].append(epoch_loss)
             history[2].append(float(np.sqrt(sum(float(np.sum(np.square(p.grad))) for p in params))))
             if n_val > 0:
-                monitor = loss_value(y_val, self.predict(x_val))
+                monitor = mse_value(y_val, self.predict(x_val))
                 history[1].append(monitor)
             else:
                 monitor = epoch_loss

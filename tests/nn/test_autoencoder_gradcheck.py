@@ -72,7 +72,6 @@ def test_adadelta_training_reduces_loss(tiny_ae):
         encoder_units=(16, 8),
         epochs=120,
         batch_size=16,
-        optimizer="adadelta",
         early_stopping_patience=None,
         validation_split=0.0,
         seed=5,

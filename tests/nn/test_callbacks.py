@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.callbacks import Callback, CallbackList, EpochLogger, TelemetryCallback
-from repro.nn.layers import Dense, Tanh
+from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.network import Sequential
 from repro.obs import Telemetry
 
@@ -13,7 +13,7 @@ X = RNG.normal(size=(24, 6))
 
 
 def make_net(seed=3):
-    return Sequential([Dense(4), Tanh(), Dense(6)], seed=seed).build(6)
+    return Sequential([Dense(4), ReLU(), Dense(6), Sigmoid()], seed=seed).build(6)
 
 
 class Recorder(Callback):

@@ -9,17 +9,7 @@ from repro.nn.gradcheck import (
     numerical_gradient,
     relative_error,
 )
-from repro.nn.layers import (
-    BatchNormalization,
-    Dense,
-    Dropout,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    get_activation,
-)
+from repro.nn.layers import BatchNormalization, Dense, ReLU, Sigmoid
 
 RNG = np.random.default_rng(0)
 TOL = 1e-6
@@ -127,11 +117,7 @@ class TestBatchNormalization:
         np.testing.assert_array_equal(fresh.gamma.value, layer.gamma.value)
 
 
-@pytest.mark.parametrize(
-    "layer_factory",
-    [ReLU, lambda: LeakyReLU(0.1), Sigmoid, Tanh, Linear],
-    ids=["relu", "leaky_relu", "sigmoid", "tanh", "linear"],
-)
+@pytest.mark.parametrize("layer_factory", [ReLU, Sigmoid], ids=["relu", "sigmoid"])
 class TestActivations:
     def test_shape_preserved(self, layer_factory):
         layer = layer_factory()
@@ -160,41 +146,6 @@ class TestActivationValues:
     def test_sigmoid_extreme_inputs_stable(self):
         out = Sigmoid().forward(np.array([[-1e4, 1e4]]))
         assert np.isfinite(out).all()
-
-    def test_leaky_relu_slope(self):
-        out = LeakyReLU(0.2).forward(np.array([[-10.0, 10.0]]))
-        np.testing.assert_allclose(out, [[-2.0, 10.0]])
-
-    def test_get_activation_unknown(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            get_activation("swish")
-
-
-class TestDropout:
-    def test_inference_is_identity(self):
-        layer = Dropout(0.5, seed=0)
-        x = RNG.normal(size=(8, 4))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_scales_kept_units(self):
-        layer = Dropout(0.5, seed=0)
-        x = np.ones((2000, 10))
-        out = layer.forward(x, training=True)
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-        # Mean preserved in expectation.
-        assert abs(out.mean() - 1.0) < 0.1
-
-    def test_backward_masks_gradient(self):
-        layer = Dropout(0.5, seed=0)
-        x = np.ones((10, 10))
-        out = layer.forward(x, training=True)
-        grad = layer.backward(np.ones_like(out))
-        np.testing.assert_array_equal(grad == 0, out == 0)
-
-    def test_rejects_rate_one(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestGradcheckHelpers:

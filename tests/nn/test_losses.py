@@ -1,4 +1,4 @@
-"""Loss value/gradient tests."""
+"""MSE loss value/gradient tests."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn.gradcheck import numerical_gradient, relative_error
-from repro.nn.losses import MeanAbsoluteError, MeanSquaredError, get_loss
+from repro.nn.losses import MeanSquaredError
 
 RNG = np.random.default_rng(3)
 
@@ -49,32 +49,3 @@ class TestMeanSquaredError:
         y = np.zeros((4, 3))
         assert MeanSquaredError().value(y, p) >= 0.0
 
-
-class TestMeanAbsoluteError:
-    def test_known_value(self):
-        y = np.array([[0.0, 0.0]])
-        p = np.array([[1.0, -3.0]])
-        assert MeanAbsoluteError().value(y, p) == pytest.approx(2.0)
-
-    def test_gradient_matches_numeric_away_from_kink(self):
-        loss = MeanAbsoluteError()
-        y = np.zeros((3, 4))
-        p = RNG.normal(size=(3, 4)) + np.sign(RNG.normal(size=(3, 4)))
-        analytic = loss.gradient(y, p)
-        numeric = numerical_gradient(lambda v: loss.value(y, v), p.copy())
-        assert relative_error(analytic, numeric) < 1e-6
-
-    def test_per_sample(self):
-        y = np.zeros((2, 2))
-        p = np.array([[1.0, 1.0], [2.0, 0.0]])
-        np.testing.assert_allclose(MeanAbsoluteError.per_sample(y, p), [1.0, 1.0])
-
-
-class TestLossRegistry:
-    def test_lookup(self):
-        assert isinstance(get_loss("mse"), MeanSquaredError)
-        assert isinstance(get_loss("mae"), MeanAbsoluteError)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown loss"):
-            get_loss("huber")

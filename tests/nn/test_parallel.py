@@ -13,7 +13,7 @@ import pytest
 
 from repro.nn import parallel as par
 from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
-from repro.nn.layers import Dense, Tanh
+from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.network import Sequential
 from repro.nn.parallel import (
     AspectTask,
@@ -27,7 +27,6 @@ TINY = AutoencoderConfig(
     encoder_units=(6, 3),
     epochs=3,
     batch_size=8,
-    optimizer="adam",
     early_stopping_patience=None,
     validation_split=0.0,
     seed=5,
@@ -42,7 +41,6 @@ def make_tasks(n_aspects=3, n_samples=24, dim=10, base_seed=5):
             encoder_units=TINY.encoder_units,
             epochs=TINY.epochs,
             batch_size=TINY.batch_size,
-            optimizer=TINY.optimizer,
             early_stopping_patience=None,
             validation_split=0.0,
             seed=derive_seed(base_seed, i),
@@ -288,11 +286,11 @@ class TestWeightTransport:
     """Workers return each layer's raw state_dict; the parent loads it."""
 
     def test_state_dict_round_trip_is_bit_exact(self):
-        net = Sequential([Dense(6), Tanh(), Dense(4)], seed=3).build(4)
+        net = Sequential([Dense(6), ReLU(), Dense(4), Sigmoid()], seed=3).build(4)
         x = np.random.default_rng(1).random((12, 4))
-        net.fit(x, epochs=2, optimizer="adam")
+        net.fit(x, epochs=2)
         states = pickle.loads(pickle.dumps([layer.state_dict() for layer in net.layers]))
-        clone = Sequential([Dense(6), Tanh(), Dense(4)], seed=99).build(4)
+        clone = Sequential([Dense(6), ReLU(), Dense(4), Sigmoid()], seed=99).build(4)
         for layer, state in zip(clone.layers, states):
             layer.load_state_dict(state)
         np.testing.assert_array_equal(net.predict(x), clone.predict(x))
