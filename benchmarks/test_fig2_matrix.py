@@ -9,7 +9,7 @@ import numpy as np
 
 from benchmarks.conftest import save_result
 from repro.core.deviation import DeviationConfig, compute_deviations
-from repro.core.matrix import build_compound_matrices
+from repro.core.representation import RepresentationPipeline
 from repro.eval.reporting import heatmap
 
 
@@ -23,20 +23,18 @@ def test_fig2_compound_matrix(benchmark, cert_bench):
     anchors = deviations.days[cfg.matrix_days - 1 :]
     http_indices = deviations.feature_set.aspect_indices("http")
 
-    matrices = benchmark(
-        build_compound_matrices,
-        deviations,
-        anchors[-5:],
-        matrix_days=cfg.matrix_days,
-        include_group=True,
-        apply_weights=True,
-        feature_indices=http_indices,
-    )
+    def assemble():
+        pipeline = RepresentationPipeline.from_deviations(
+            deviations, include_group=True, apply_weights=True
+        )
+        return pipeline.view(anchors[-5:], cfg.matrix_days, feature_indices=http_indices)
+
+    view = benchmark(assemble)
 
     # Regenerate the figure: one user's matrix, unflattened, as heatmaps.
     user = cert_bench.abnormal_users[0]
     day = anchors[-1]
-    matrix = matrices.matrix_of(user, day, n_timeframes=2)
+    matrix = view.matrix_of(user, day)
     n_features = len(http_indices)
     names = [deviations.feature_set.feature_names[i] for i in http_indices]
     lines = [
@@ -52,5 +50,6 @@ def test_fig2_compound_matrix(benchmark, cert_bench):
     save_result("fig2_compound_matrix", "\n".join(lines))
 
     # Shape checks: both blocks present, unit interval, full flatten dim.
-    assert matrices.dim == 2 * n_features * 2 * cfg.matrix_days
-    assert 0.0 <= matrices.vectors.min() and matrices.vectors.max() <= 1.0
+    vectors = view.materialize()
+    assert view.dim == 2 * n_features * 2 * cfg.matrix_days
+    assert 0.0 <= vectors.min() and vectors.max() <= 1.0

@@ -1,9 +1,9 @@
 """Peak-memory benchmark: zero-copy matrix views vs materialization.
 
 At paper settings (``matrix_days = 30``) every deviation day appears in
-up to 30 anchored matrices, so the eager
-:func:`repro.core.matrix.build_compound_matrices` path amplifies memory
-by ~30x over the underlying value array.  The representation pipeline
+up to 30 anchored matrices, so materializing every anchored matrix
+(:meth:`repro.core.representation.MatrixView.materialize`) amplifies
+memory by ~30x over the underlying value array.  The representation pipeline
 streams the same vectors out of one shared array through
 ``sliding_window_view`` windows, so its peak is the base array plus a
 single mini-batch.
@@ -25,7 +25,6 @@ from datetime import date, timedelta
 import numpy as np
 
 from repro.core.deviation import DeviationConfig, compute_deviations
-from repro.core.matrix import build_compound_matrices
 from repro.core.representation import RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -76,14 +75,16 @@ def test_view_path_halves_peak_memory():
     dev = make_deviations()
     anchors = dev.days[MATRIX_DAYS - 1 :]
 
-    mats, peak_mat, t_mat = traced(
-        lambda: build_compound_matrices(dev, anchors, matrix_days=MATRIX_DAYS)
+    vectors, peak_mat, t_mat = traced(
+        lambda: RepresentationPipeline.from_deviations(dev)
+        .view(anchors, MATRIX_DAYS)
+        .materialize()
     )
-    n_vectors = mats.vectors.shape[0] * mats.vectors.shape[1]
-    dim = mats.dim
-    materialized_bytes = mats.vectors.nbytes
-    checksum_mat = float(mats.vectors.sum())
-    del mats
+    n_vectors = vectors.shape[0] * vectors.shape[1]
+    dim = vectors.shape[2]
+    materialized_bytes = vectors.nbytes
+    checksum_mat = float(vectors.sum())
+    del vectors
 
     def consume_view():
         pipeline = RepresentationPipeline.from_deviations(dev)

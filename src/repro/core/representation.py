@@ -19,7 +19,8 @@ Layering::
     MeasurementCube --> DeviationCube --> RepresentationPipeline --> MatrixView
                         (repro.core.deviation)   (this module)        |
                                                                       +-- batches()/rows(): nn training + scoring
-                                                                      +-- materialize(): CompoundMatrices compat
+                                                                      +-- matrix_of(): one matrix, unflattened
+                                                                      +-- materialize(): the eager tensor
 
 Batch (:mod:`repro.core.detector`), streaming
 (:mod:`repro.core.streaming` via :func:`compound_values` /
@@ -113,14 +114,15 @@ class MatrixView:
     ``view[u, a]`` conceptually holds the flattened compound matrix of
     user ``u`` anchored at ``anchor_days[a]`` -- but nothing is stored
     per anchor: every matrix is read on demand out of the shared value
-    array through a ``sliding_window_view``.  Flattened vectors are
-    bit-identical to the materialized
-    :func:`repro.core.matrix.build_compound_matrices` path (pinned by
-    ``tests/core/test_representation.py``).
+    array through a ``sliding_window_view``.  A flattened vector stacks
+    ``[individual; group]`` deviation rows over the time-frames and the
+    ``matrix_days`` window in C order, so :meth:`matrix_of` unflattens
+    one by a plain reshape (the stacking order is irrelevant to the
+    paper because matrices are flattened before entering the
+    autoencoders).
 
     The view is a *row source* over the pooled ``(user, anchor)`` grid in
-    C order (user-major), matching
-    :meth:`repro.core.matrix.CompoundMatrices.training_set`:
+    C order (user-major), the row order of :meth:`training_set`:
 
     * ``len(view)`` -- pooled sample count ``n_users * n_anchors``.
     * ``view.dim`` -- flattened width ``rows * T * matrix_days``.
@@ -204,19 +206,39 @@ class MatrixView:
         for start in range(0, n, batch_size):
             yield self.rows(np.arange(start, min(start + batch_size, n)))
 
+    def matrix_of(self, user: str, day: date) -> np.ndarray:
+        """One compound matrix, unflattened: ``(rows, T, matrix_days)``.
+
+        ``rows`` is the view's features, then (with the group block) the
+        same features' group deviations.  The result is a read-only
+        window into the shared value array, not a copy.
+
+        Raises:
+            KeyError: ``user`` is not in the view or no matrix is
+                anchored at ``day``.
+        """
+        try:
+            u = self.users.index(user)
+        except ValueError:
+            raise KeyError(f"unknown user {user!r}") from None
+        try:
+            a = self.anchor_days.index(day)
+        except ValueError:
+            raise KeyError(f"no matrix anchored at {day}") from None
+        return self._windows[u, :, :, self._window_starts[a], :]
+
     def vectors_for_anchor(self, anchor_index: int) -> np.ndarray:
         """All users' flattened matrices at one anchor: ``(n_users, dim)``."""
         w = self._window_starts[anchor_index]
         return self._windows[:, :, :, w, :].reshape(self.n_users, self.dim)
 
-    # -- materialization (compat) ---------------------------------------
+    # -- materialization ------------------------------------------------
     def materialize(self) -> np.ndarray:
         """The full dense tensor ``(n_users, n_anchors, dim)``.
 
         This is the one deliberately memory-amplifying operation --
-        ``matrix_days``x the base array -- kept for the
-        :class:`repro.core.matrix.CompoundMatrices` compatibility wrapper
-        and small-scale inspection.
+        ``matrix_days``x the base array -- kept for small-scale
+        inspection and the matrix-memory benchmark.
         """
         out = np.empty((self.n_users, self.n_anchors, self.dim))
         for a in range(self.n_anchors):
@@ -224,7 +246,7 @@ class MatrixView:
         return out
 
     def training_set(self) -> np.ndarray:
-        """Materialized pooled 2-D matrix (compat; prefer batch iteration)."""
+        """Materialized pooled 2-D matrix (prefer batch iteration)."""
         return self.materialize().reshape(-1, self.dim)
 
     # -- pickling: ship the compact base array, never the windows -------

@@ -12,7 +12,7 @@ settings, the seed and the dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,16 @@ class AutoencoderConfig:
             raise ValueError("encoder_units must not be empty")
         if any(u <= 0 for u in self.encoder_units):
             raise ValueError(f"encoder_units must be positive, got {self.encoder_units}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.validation_split < 1.0:
+            raise ValueError(
+                f"validation_split must be in [0, 1), got {self.validation_split}"
+            )
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
     def scaled(self, factor: float) -> "AutoencoderConfig":
         """Return a config with hidden sizes scaled down (for tests/benches)."""
@@ -107,28 +117,16 @@ class Autoencoder:
         return layers + [Dense(self.input_dim), Sigmoid()]
 
     @property
-    def code_dim(self) -> int:
-        """Width of the bottleneck representation."""
-        return self.config.encoder_units[-1]
-
-    @property
     def fitted(self) -> bool:
         return self._fitted
 
-    def fit(
-        self,
-        x: np.ndarray,
-        verbose: bool = False,
-        callbacks: Optional[Sequence] = None,
-    ) -> TrainingHistory:
+    def fit(self, x: np.ndarray, verbose: bool = False) -> TrainingHistory:
         """Train the autoencoder to reconstruct ``x`` (normal data only).
 
         ``x`` may be a dense ``(n, input_dim)`` array or a row source
         (:mod:`repro.nn.data`, e.g. a
         :class:`repro.core.representation.MatrixView`) whose mini-batches
-        are gathered lazily -- both train bit-identically.  ``callbacks``
-        are forwarded to :meth:`Sequential.fit`
-        (:mod:`repro.nn.callbacks`).
+        are gathered lazily -- both train bit-identically.
         """
         if is_row_source(x):
             if int(x.dim) != self.input_dim:
@@ -147,7 +145,6 @@ class Autoencoder:
             validation_split=split,
             early_stopping_patience=cfg.early_stopping_patience,
             verbose=verbose,
-            callbacks=callbacks,
         )
         self._fitted = True
         return history
@@ -155,24 +152,6 @@ class Autoencoder:
     def reconstruct(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
         """Inference-mode reconstruction of ``x``."""
         return self.network.predict(self._validate(x), batch_size=batch_size)
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Return the bottleneck code for ``x``.
-
-        The code is read at the output of the activation following the last
-        encoder Dense layer.
-        """
-        x = self._validate(x)
-        n_encoder_dense = len(self.config.encoder_units)
-        seen_dense = 0
-        for layer in self.network.layers:
-            x = layer.forward(x, training=False)
-            if isinstance(layer, Dense):
-                seen_dense += 1
-            # Stop once the activation after the bottleneck Dense has run.
-            if seen_dense == n_encoder_dense and not isinstance(layer, (Dense, BatchNormalization)):
-                return x
-        raise RuntimeError("bottleneck activation not found")  # pragma: no cover
 
     def reconstruction_error(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
         """Per-sample anomaly score: reconstruction MSE of each row.

@@ -43,12 +43,16 @@ Two contracts follow from buffer reuse:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+import math
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.initializers import get_initializer
 from repro.nn.workspace import Workspace
+
+#: Keras' BatchNormalization defaults, the values the paper trains with.
+BN_MOMENTUM = 0.99
+BN_EPSILON = 1e-3
 
 
 class Parameter:
@@ -130,38 +134,28 @@ class Layer:
 class Dense(Layer):
     """Fully-connected layer: ``y = x @ W + b``.
 
-    Mirrors ``tensorflow.keras.layers.Dense`` (without fused activation;
-    activations are separate layers here, which is mathematically
-    identical and keeps backward passes simple).
+    Mirrors ``tensorflow.keras.layers.Dense`` with its defaults: a
+    Glorot-uniform kernel and a zero bias (activations are separate
+    layers here, which is mathematically identical and keeps backward
+    passes simple).
     """
 
     built = False
 
-    def __init__(
-        self,
-        units: int,
-        kernel_initializer: str = "glorot_uniform",
-        bias_initializer: str = "zeros",
-        use_bias: bool = True,
-    ):
+    def __init__(self, units: int):
         if units <= 0:
             raise ValueError(f"units must be positive, got {units}")
         self.units = units
-        self._kernel_init = get_initializer(kernel_initializer)
-        self._bias_init = get_initializer(bias_initializer)
-        self.use_bias = use_bias
         self.weight: Optional[Parameter] = None
         self.bias: Optional[Parameter] = None
         self._x: Optional[np.ndarray] = None
 
     def build(self, input_dim: int, rng: np.random.Generator, dtype=np.float64) -> int:
-        self.weight = Parameter(
-            "weight", self._kernel_init((input_dim, self.units), rng), dtype=dtype
-        )
-        if self.use_bias:
-            self.bias = Parameter(
-                "bias", self._bias_init((1, self.units), rng).reshape(self.units), dtype=dtype
-            )
+        # Glorot/Xavier uniform: U(-limit, limit), limit = sqrt(6/(fan_in+fan_out)).
+        limit = math.sqrt(6.0 / (input_dim + self.units))
+        kernel = rng.uniform(-limit, limit, size=(input_dim, self.units))
+        self.weight = Parameter("weight", kernel, dtype=dtype)
+        self.bias = Parameter("bias", np.zeros(self.units), dtype=dtype)
         self.built = True
         return self.units
 
@@ -175,8 +169,7 @@ class Dense(Layer):
         self._x = x
         out = ws.acquire((x.shape[0], self.units), np.result_type(x, self.weight.value))
         np.matmul(x, self.weight.value, out=out)
-        if self.use_bias:
-            np.add(out, self.bias.value, out=out)
+        np.add(out, self.bias.value, out=out)
         return out
 
     def backward(self, grad_out: np.ndarray, ws: Optional[Workspace] = None) -> np.ndarray:
@@ -184,8 +177,7 @@ class Dense(Layer):
             raise RuntimeError("backward() called before forward()")
         ws = ws or Workspace()
         np.matmul(self._x.T, grad_out, out=self.weight.grad)
-        if self.use_bias:
-            grad_out.sum(axis=0, out=self.bias.grad)
+        grad_out.sum(axis=0, out=self.bias.grad)
         grad_in = ws.acquire(self._x.shape, np.result_type(grad_out, self.weight.value))
         np.matmul(grad_out, self.weight.value.T, out=grad_in)
         return grad_in
@@ -193,10 +185,7 @@ class Dense(Layer):
     def parameters(self) -> Iterable[Parameter]:
         if not self.built:
             return ()
-        params: List[Parameter] = [self.weight]
-        if self.use_bias:
-            params.append(self.bias)
-        return params
+        return (self.weight, self.bias)
 
 
 class BatchNormalization(Layer):
@@ -204,17 +193,13 @@ class BatchNormalization(Layer):
 
     Normalizes each feature over the batch during training and tracks
     exponential moving averages of mean/variance for inference, exactly
-    like ``tensorflow.keras.layers.BatchNormalization`` with default
-    momentum.
+    like ``tensorflow.keras.layers.BatchNormalization`` with its defaults
+    (:data:`BN_MOMENTUM`, :data:`BN_EPSILON`).
     """
 
     built = False
 
-    def __init__(self, momentum: float = 0.99, epsilon: float = 1e-3):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0, 1), got {momentum}")
-        self.momentum = momentum
-        self.epsilon = epsilon
+    def __init__(self) -> None:
         self.gamma: Optional[Parameter] = None
         self.beta: Optional[Parameter] = None
         self.running_mean: Optional[np.ndarray] = None
@@ -243,21 +228,21 @@ class BatchNormalization(Layer):
             var = ws.acquire((d,), x.dtype)
             x.mean(axis=0, out=mean)
             x.var(axis=0, out=var)
-            # running = momentum * running + (1 - momentum) * batch_stat:
+            # running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch_stat:
             # two products, one add, updated in the running stats' dtype.
             scratch = ws.acquire((d,), x.dtype)
-            np.multiply(self.running_mean, self.momentum, out=self.running_mean)
-            np.multiply(mean, 1 - self.momentum, out=scratch)
+            np.multiply(self.running_mean, BN_MOMENTUM, out=self.running_mean)
+            np.multiply(mean, 1 - BN_MOMENTUM, out=scratch)
             np.add(self.running_mean, scratch, out=self.running_mean)
-            np.multiply(self.running_var, self.momentum, out=self.running_var)
-            np.multiply(var, 1 - self.momentum, out=scratch)
+            np.multiply(self.running_var, BN_MOMENTUM, out=self.running_var)
+            np.multiply(var, 1 - BN_MOMENTUM, out=scratch)
             np.add(self.running_var, scratch, out=self.running_var)
         else:
             mean = self.running_mean
             var = self.running_var
         # inv_std = 1 / sqrt(var + eps); x_hat = (x - mean) * inv_std
         inv_std = ws.acquire((d,), var.dtype)
-        np.add(var, self.epsilon, out=inv_std)
+        np.add(var, BN_EPSILON, out=inv_std)
         np.sqrt(inv_std, out=inv_std)
         np.divide(1.0, inv_std, out=inv_std)
         x_hat = ws.acquire(x.shape, np.result_type(x, mean, inv_std))

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.nn.callbacks import CallbackList, EpochLogger
 from repro.nn.data import is_row_source
 from repro.nn.layers import Layer, Parameter
 from repro.nn.losses import MeanSquaredError
@@ -170,80 +169,61 @@ class Sequential:
     def fit(
         self,
         x: np.ndarray,
-        y: Optional[np.ndarray] = None,
         epochs: int = 10,
         batch_size: int = 32,
         validation_split: float = 0.0,
-        shuffle: bool = True,
         early_stopping_patience: Optional[int] = None,
-        min_delta: float = 0.0,
         verbose: bool = False,
-        callbacks: Optional[Sequence] = None,
     ) -> TrainingHistory:
-        """Train with mini-batch Adadelta on the MSE loss, as in the paper.
+        """Train to reconstruct ``x`` with mini-batch Adadelta on the MSE loss.
+
+        Training rows are reshuffled every epoch.
 
         Args:
-            x: training inputs -- a ``(n, input_dim)`` array, or a row
-                source (:mod:`repro.nn.data`) whose mini-batches are
-                gathered lazily; the row-source path is reconstruction
-                only (``y`` must be None) and trains bit-identically to
-                passing the materialized array.
-            y: targets; defaults to ``x`` (autoencoder reconstruction).
+            x: training inputs, also the targets -- a ``(n, input_dim)``
+                array, or a row source (:mod:`repro.nn.data`) whose
+                mini-batches are gathered lazily and which trains
+                bit-identically to passing the materialized array.
             epochs: maximum number of passes over the data.
             batch_size: mini-batch size.
             validation_split: trailing fraction of the (shuffled) data held
                 out for validation loss / early stopping.
-            shuffle: reshuffle training rows every epoch.
             early_stopping_patience: stop after this many epochs without
-                ``min_delta`` improvement in the monitored loss
-                (validation loss when a split is used, else training loss).
-            verbose: print one line per epoch (an
-                :class:`~repro.nn.callbacks.EpochLogger` appended to
-                ``callbacks``).
-            callbacks: objects implementing (a subset of) the callback
-                protocol in :mod:`repro.nn.callbacks`; they observe
-                training without affecting its numerics.
+                improvement in the monitored loss (validation loss when a
+                split is used, else training loss).
+            verbose: print one ``epoch i/n loss=... [val_loss=...]`` line
+                per epoch.
 
         Returns:
             A :class:`TrainingHistory` with per-epoch losses.
         """
         if is_row_source(x):
-            if y is not None:
-                raise ValueError("row-source training is reconstruction-only (y must be None)")
             source, width, n_total = x, int(x.dim), len(x)
 
-            def fetch(idx: np.ndarray):
-                xb = np.asarray(source.rows(idx), dtype=self.dtype)
-                return xb, xb
+            def fetch(idx: np.ndarray) -> np.ndarray:
+                return np.asarray(source.rows(idx), dtype=self.dtype)
 
             # Row sources gather through arbitrary Python objects, so the
             # mini-batch fetch itself stays allocating (layers, loss and
             # optimizer still run through the arena).
-            def fetch_batch(sel: np.ndarray, ws: Workspace):
+            def fetch_batch(sel: np.ndarray, ws: Workspace) -> np.ndarray:
                 return fetch(train_idx[sel])
 
         else:
             x = np.asarray(x, dtype=self.dtype)
-            y = x if y is None else np.asarray(y, dtype=self.dtype)
-            if x.shape[0] != y.shape[0]:
-                raise ValueError(f"x and y row counts differ: {x.shape[0]} vs {y.shape[0]}")
             width, n_total = x.shape[1], x.shape[0]
 
-            def fetch(idx: np.ndarray):
-                return x[idx], y[idx]
+            def fetch(idx: np.ndarray) -> np.ndarray:
+                return x[idx]
 
-            def fetch_batch(sel: np.ndarray, ws: Workspace):
+            def fetch_batch(sel: np.ndarray, ws: Workspace) -> np.ndarray:
                 # Compose train_idx[order[...]] and the row gather through
                 # np.take(..., out=) -- bit-identical to fancy indexing.
                 idx = ws.acquire(sel.shape, train_idx.dtype)
                 np.take(train_idx, sel, out=idx)
                 xb = ws.acquire((sel.shape[0], width), self.dtype)
                 np.take(x, idx, axis=0, out=xb)
-                if y is x:
-                    return xb, xb
-                yb = ws.acquire((sel.shape[0], y.shape[1]), self.dtype)
-                np.take(y, idx, axis=0, out=yb)
-                return xb, yb
+                return xb
 
         if n_total == 0:
             raise ValueError("cannot fit on an empty dataset")
@@ -262,9 +242,9 @@ class Sequential:
             train_idx = perm[:-n_val]
             if train_idx.shape[0] == 0:
                 raise ValueError("validation_split leaves no training data")
-            x_val, y_val = fetch(perm[-n_val:])
+            x_val = fetch(perm[-n_val:])
         else:
-            x_val = y_val = None
+            x_val = None
             train_idx = np.arange(n_total)
 
         history = TrainingHistory()
@@ -274,20 +254,14 @@ class Sequential:
         n = train_idx.shape[0]
         n_batches = 0
 
-        callback_list = CallbackList(callbacks)
-        if verbose:
-            callback_list.callbacks.append(EpochLogger())
         telemetry = get_telemetry()
         arena_before = ws.stats()
 
         with telemetry.span(
             "nn.fit", samples=int(n), input_dim=int(width), batch_size=batch_size
         ) as span:
-            callback_list.on_train_begin(
-                {"epochs": epochs, "n_samples": int(n), "batch_size": batch_size}
-            )
             for epoch in range(epochs):
-                order = self._rng.permutation(n) if shuffle else np.arange(n)
+                order = self._rng.permutation(n)
                 epoch_loss = 0.0
                 for start in range(0, n, batch_size):
                     sel = order[start : start + batch_size]
@@ -295,57 +269,42 @@ class Sequential:
                     # (asarray/shape checks skipped -- the gather already
                     # produced a 2-D batch of self.dtype).
                     ws.reset()
-                    xb, yb = fetch_batch(sel, ws)
+                    xb = fetch_batch(sel, ws)
                     pred = xb
                     for layer in self.layers:
                         pred = layer.forward(pred, training=True, ws=ws)
-                    epoch_loss += loss_fn.value(yb, pred, ws) * sel.shape[0]
-                    grad = loss_fn.gradient(yb, pred, ws)
+                    epoch_loss += loss_fn.value(xb, pred, ws) * sel.shape[0]
+                    grad = loss_fn.gradient(xb, pred, ws)
                     for layer in reversed(self.layers):
                         grad = layer.backward(grad, ws=ws)
                     opt.step(params, ws=ws)
                     n_batches += 1
                 epoch_loss /= n
                 history.loss.append(epoch_loss)
-                # Read-only diagnostic of the last mini-batch's gradients;
-                # computed unconditionally so the history is the same with
-                # and without observers attached.
-                grad_norm = float(
-                    np.sqrt(sum(float(np.sum(np.square(p.grad))) for p in params))
+                # Read-only diagnostic of the last mini-batch's gradients.
+                history.grad_norm.append(
+                    float(np.sqrt(sum(float(np.sum(np.square(p.grad))) for p in params)))
                 )
-                history.grad_norm.append(grad_norm)
 
                 if x_val is not None:
-                    val_pred = self.predict(x_val)
-                    val_loss = loss_fn.value(y_val, val_pred)
-                    history.val_loss.append(val_loss)
-                    monitor = val_loss
+                    monitor = loss_fn.value(x_val, self.predict(x_val))
+                    history.val_loss.append(monitor)
                 else:
-                    val_loss = None
                     monitor = epoch_loss
-
-                callback_list.on_epoch_end(
-                    epoch,
-                    {
-                        "epoch": epoch,
-                        "epochs": epochs,
-                        "loss": epoch_loss,
-                        "val_loss": val_loss,
-                        "grad_norm": grad_norm,
-                        "learning_rate": float(opt.learning_rate),
-                        "iterations": int(opt.iterations),
-                    },
-                )
+                if verbose:
+                    line = f"epoch {epoch + 1}/{epochs} loss={epoch_loss:.6f}"
+                    if x_val is not None:
+                        line += f" val_loss={monitor:.6f}"
+                    print(line)
 
                 if early_stopping_patience is not None:
-                    if monitor < best_monitor - min_delta:
+                    if monitor < best_monitor:
                         best_monitor = monitor
                         stale_epochs = 0
                     else:
                         stale_epochs += 1
                         if stale_epochs >= early_stopping_patience:
                             break
-            callback_list.on_train_end(history)
             span.annotate(epochs_trained=history.epochs_trained)
         telemetry.counter("nn.epochs_total").inc(history.epochs_trained)
         telemetry.counter("nn.batches_total").inc(n_batches)
@@ -355,8 +314,3 @@ class Sequential:
         telemetry.counter("nn.arena.misses").inc(arena_after.misses - arena_before.misses)
         telemetry.gauge("nn.arena.peak_bytes").set(arena_after.peak_bytes)
         return history
-
-    def evaluate(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> float:
-        """Inference-mode MSE over a dataset (computed in ``self.dtype``)."""
-        y = np.asarray(x, dtype=self.dtype) if y is None else np.asarray(y, dtype=self.dtype)
-        return MeanSquaredError().value(y, self.predict(x))

@@ -37,29 +37,25 @@ from repro.nn.workspace import Workspace
 #: depend on it.
 BLOCK_BYTES = 256 * 1024
 
+#: Zeiler's Adadelta constants: the decay of both moving averages and the
+#: conditioning term.  The learning rate is Zeiler's 1.0, so the update is
+#: applied unscaled (Keras' 0.001 default effectively freezes training).
+RHO = 0.95
+EPSILON = 1e-6
+
 
 class Adadelta:
     """Adadelta (Zeiler 2012).
 
     Maintains exponential moving averages of squared gradients and squared
     updates; the effective step size adapts per dimension without a
-    manually tuned global learning rate.  ``learning_rate`` defaults to
-    1.0, matching Zeiler's formulation (Keras' 0.001 default is a known
-    footgun that effectively freezes training).
+    manually tuned global learning rate.
     """
 
-    def __init__(self, learning_rate: float = 1.0, rho: float = 0.95, epsilon: float = 1e-6):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {rho}")
-        self.learning_rate = learning_rate
-        self.rho = rho
-        self.epsilon = epsilon
+    def __init__(self) -> None:
         #: ``id(parameter)`` -> (acc_grad, acc_delta), in the parameter's
         #: shape and dtype.
         self._state: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self.iterations = 0
 
     def step(self, parameters: Iterable[Parameter], ws: Optional[Workspace] = None) -> None:
         """Apply one update to every parameter using its current ``grad``.
@@ -70,11 +66,9 @@ class Adadelta:
                 view of it would be a copy, and the update would be lost).
         """
         ws = ws or Workspace()
-        self.iterations += 1
         parameters = list(parameters)
         largest = max((p.value.size for p in parameters), default=0)
         scratch: Dict[np.dtype, Tuple[np.ndarray, np.ndarray]] = {}
-        lr, rho, eps = self.learning_rate, self.rho, self.epsilon
         for param in parameters:
             value = param.value
             if param.grad.dtype != value.dtype:
@@ -106,25 +100,24 @@ class Adadelta:
                 v, g = value_flat[start:stop], grad_flat[start:stop]
                 acc_grad, acc_delta = acc_grad_flat[start:stop], acc_delta_flat[start:stop]
                 t1, t2 = pair[0][: stop - start], pair[1][: stop - start]
-                # acc_grad = rho * acc_grad + (1 - rho) * grad**2
-                acc_grad *= rho
+                # acc_grad = RHO * acc_grad + (1 - RHO) * grad**2
+                acc_grad *= RHO
                 np.multiply(g, g, out=t1)
-                np.multiply(t1, 1.0 - rho, out=t1)
+                np.multiply(t1, 1.0 - RHO, out=t1)
                 acc_grad += t1
-                # update = sqrt(acc_delta + eps) / sqrt(acc_grad + eps) * grad
-                np.add(acc_delta, eps, out=t1)
+                # update = sqrt(acc_delta + EPSILON) / sqrt(acc_grad + EPSILON) * grad
+                np.add(acc_delta, EPSILON, out=t1)
                 np.sqrt(t1, out=t1)
-                np.add(acc_grad, eps, out=t2)
+                np.add(acc_grad, EPSILON, out=t2)
                 np.sqrt(t2, out=t2)
                 np.divide(t1, t2, out=t1)
                 np.multiply(t1, g, out=t1)
-                # acc_delta = rho * acc_delta + (1 - rho) * update**2
-                acc_delta *= rho
+                # acc_delta = RHO * acc_delta + (1 - RHO) * update**2
+                acc_delta *= RHO
                 np.multiply(t1, t1, out=t2)
-                np.multiply(t2, 1.0 - rho, out=t2)
+                np.multiply(t2, 1.0 - RHO, out=t2)
                 acc_delta += t2
-                # value -= lr * update
-                np.multiply(t1, lr, out=t1)
+                # value -= update
                 v -= t1
 
 

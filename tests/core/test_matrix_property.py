@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.deviation import DeviationConfig, compute_deviations
-from repro.core.matrix import build_compound_matrices
+from repro.core.representation import RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
 from repro.utils.timeutil import TWO_TIMEFRAMES
@@ -20,6 +20,14 @@ def cube_from_seed(seed, n_users=3, n_days=18):
     days = [date(2010, 1, 1) + timedelta(days=i) for i in range(n_days)]
     values = np.random.default_rng(seed).poisson(4.0, size=(n_users, 2, 2, n_days)).astype(float)
     return MeasurementCube(values, users, fs, TWO_TIMEFRAMES, days)
+
+
+def build_view(dev, anchors, matrix_days, include_group=True, apply_weights=True):
+    """The compound matrices anchored at ``anchors``, as a zero-copy view."""
+    pipeline = RepresentationPipeline.from_deviations(
+        dev, include_group=include_group, apply_weights=apply_weights
+    )
+    return pipeline.view(anchors, matrix_days)
 
 
 @given(
@@ -34,17 +42,18 @@ def test_vectors_always_in_unit_interval(seed, window, matrix_days, include_grou
     cube = cube_from_seed(seed)
     dev = compute_deviations(cube, None, DeviationConfig(window=window))
     anchors = dev.days[matrix_days - 1 :]
-    mats = build_compound_matrices(
+    view = build_view(
         dev,
         anchors,
         matrix_days=matrix_days,
         include_group=include_group,
         apply_weights=apply_weights,
     )
-    assert mats.vectors.min() >= 0.0
-    assert mats.vectors.max() <= 1.0
+    vectors = view.materialize()
+    assert vectors.min() >= 0.0
+    assert vectors.max() <= 1.0
     blocks = 2 if include_group else 1
-    assert mats.dim == blocks * 2 * 2 * matrix_days
+    assert view.dim == blocks * 2 * 2 * matrix_days
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -55,11 +64,12 @@ def test_adjacent_anchor_windows_overlap_consistently(seed):
     dev = compute_deviations(cube, None, DeviationConfig(window=4))
     D = 4
     anchors = dev.days[D - 1 :]
-    mats = build_compound_matrices(dev, anchors, matrix_days=D, include_group=False)
-    for u in range(len(mats.users)):
+    view = build_view(dev, anchors, matrix_days=D, include_group=False)
+    vectors = view.materialize()
+    for u in range(len(view.users)):
         for j in range(len(anchors) - 1):
-            a = mats.vectors[u, j].reshape(2, 2, D)
-            b = mats.vectors[u, j + 1].reshape(2, 2, D)
+            a = vectors[u, j].reshape(2, 2, D)
+            b = vectors[u, j + 1].reshape(2, 2, D)
             np.testing.assert_array_equal(a[..., 1:], b[..., :-1])
 
 
@@ -93,9 +103,10 @@ def test_matrix_outputs_finite_with_expected_shapes(seed, matrix_days):
     cube = cube_from_seed(seed)
     dev = compute_deviations(cube, None, DeviationConfig(window=3))
     anchors = dev.days[matrix_days - 1 :]
-    mats = build_compound_matrices(dev, anchors, matrix_days=matrix_days)
-    assert mats.vectors.shape == (len(dev.users), len(anchors), mats.dim)
-    assert np.all(np.isfinite(mats.vectors))
+    view = build_view(dev, anchors, matrix_days=matrix_days)
+    vectors = view.materialize()
+    assert vectors.shape == (len(dev.users), len(anchors), view.dim)
+    assert np.all(np.isfinite(vectors))
 
 
 @given(
@@ -131,9 +142,9 @@ def test_permutation_of_users_equivariance(seed, include_group, apply_weights):
     kwargs = dict(
         matrix_days=2, include_group=include_group, apply_weights=apply_weights
     )
-    mats = build_compound_matrices(dev, anchors, **kwargs)
-    mats_p = build_compound_matrices(dev_p, anchors, **kwargs)
-    np.testing.assert_array_equal(mats.vectors[perm], mats_p.vectors)
+    view = build_view(dev, anchors, **kwargs)
+    view_p = build_view(dev_p, anchors, **kwargs)
+    np.testing.assert_array_equal(view.materialize()[perm], view_p.materialize())
 
 
 @given(

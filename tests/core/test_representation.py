@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.core.deviation import DeviationConfig, compute_deviations
-from repro.core.matrix import build_compound_matrices
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -119,19 +118,18 @@ def test_view_is_bit_identical_to_seed_algorithm(
     apply_weights=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
-def test_compat_wrapper_matches_seed_algorithm(seed, matrix_days, include_group, apply_weights):
-    """build_compound_matrices (now a shim over the pipeline) stays bit-exact."""
+def test_matrix_of_matches_seed_algorithm(seed, matrix_days, include_group, apply_weights):
+    """``matrix_of`` unflattens exactly the seed algorithm's vectors."""
     dev = make_deviations(seed)
     anchors = dev.days[matrix_days - 1 :]
-    mats = build_compound_matrices(
-        dev,
-        anchors,
-        matrix_days=matrix_days,
-        include_group=include_group,
-        apply_weights=apply_weights,
-    )
+    view = view_of(dev, anchors, matrix_days, include_group, apply_weights, None)
     ref = reference_vectors(dev, anchors, matrix_days, include_group, apply_weights, range(3))
-    np.testing.assert_array_equal(mats.vectors, ref)
+    blocks = 2 if include_group else 1
+    for u, user in enumerate(dev.users):
+        for a, day in enumerate(anchors):
+            matrix = view.matrix_of(user, day)
+            assert matrix.shape == (blocks * 3, 2, matrix_days)
+            np.testing.assert_array_equal(matrix.reshape(-1), ref[u, a])
 
 
 class TestViewShape:

@@ -33,7 +33,7 @@ class Param:
 class Dense:
     def __init__(self, layer):
         self.weight = Param(layer.weight.value)
-        self.bias = Param(layer.bias.value) if layer.use_bias else None
+        self.bias = Param(layer.bias.value) if layer.bias is not None else None
 
     def params(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -54,8 +54,7 @@ class Dense:
 
 class BatchNormalization:
     def __init__(self, layer):
-        self.momentum = layer.momentum
-        self.epsilon = layer.epsilon
+        self.momentum, self.epsilon = 0.99, 1e-3
         self.gamma = Param(layer.gamma.value)
         self.beta = Param(layer.beta.value)
         self.running_mean = layer.running_mean.copy()

@@ -34,7 +34,10 @@ class TestArchitecture:
         assert kinds == ["Dense", "BatchNormalization", "ReLU"] * 3 + ["Dense", "Sigmoid"]
 
     def test_code_dim(self):
-        assert Autoencoder(6, AutoencoderConfig(encoder_units=(8, 3))).code_dim == 3
+        """The bottleneck is the last encoder width."""
+        ae = Autoencoder(6, AutoencoderConfig(encoder_units=(8, 3)))
+        dense_units = [l.units for l in ae.network.layers if isinstance(l, Dense)]
+        assert dense_units == [8, 3, 8, 6]
 
     def test_rejects_bad_input_dim(self):
         with pytest.raises(ValueError):
@@ -43,6 +46,23 @@ class TestArchitecture:
     def test_config_rejects_empty_units(self):
         with pytest.raises(ValueError):
             AutoencoderConfig(encoder_units=())
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", 0, "epochs must be >= 1"),
+            ("epochs", -3, "epochs must be >= 1"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("validation_split", 1.0, r"validation_split must be in \[0, 1\)"),
+            ("validation_split", -0.1, r"validation_split must be in \[0, 1\)"),
+            ("dtype", "float16", "dtype must be 'float32' or 'float64'"),
+            ("dtype", "int32", "dtype must be 'float32' or 'float64'"),
+        ],
+    )
+    def test_config_rejects_invalid_training_settings(self, field, value, message):
+        """Bad settings fail when the config is built, not inside a fit."""
+        with pytest.raises(ValueError, match=message):
+            AutoencoderConfig(**{field: value})
 
     def test_scaled_config(self):
         scaled = AutoencoderConfig().scaled(0.25)
@@ -76,12 +96,6 @@ class TestTrainingAndScoring:
         normal_scores = ae.reconstruction_error(normal)
         anomaly_scores = ae.reconstruction_error(anomalies)
         assert anomaly_scores.mean() > 3 * normal_scores.mean()
-
-    def test_encode_returns_code(self):
-        ae = Autoencoder(8, TINY)
-        x = RNG.uniform(size=(5, 8))
-        code = ae.encode(x)
-        assert code.shape == (5, TINY.encoder_units[-1])
 
     def test_reconstruct_in_unit_interval(self):
         ae = Autoencoder(8, TINY)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
-from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.layers import BatchNormalization
 from repro.nn.losses import MeanSquaredError
+
+from .gradcheck import numerical_gradient, relative_error
 
 pytestmark = pytest.mark.slow
 

@@ -1,57 +1,39 @@
-"""Initializer distribution tests."""
+"""Dense weight initialization: Keras' Glorot-uniform kernel and zero bias."""
 
 import math
 
 import numpy as np
-import pytest
 
-from repro.nn.initializers import (
-    get_initializer,
-    glorot_normal,
-    glorot_uniform,
-    he_normal,
-    he_uniform,
-    zeros,
-)
+from repro.nn.layers import Dense
 
-RNG = np.random.default_rng(0)
+
+def built(units, fan_in, rng):
+    layer = Dense(units)
+    layer.build(fan_in, rng)
+    return layer
 
 
 def test_glorot_uniform_bounds():
-    w = glorot_uniform((100, 50), RNG)
+    """The kernel is exactly ``rng.uniform(-limit, limit)`` of its shape."""
+    w = built(50, 100, np.random.default_rng(0)).weight.value
     limit = math.sqrt(6.0 / 150)
     assert w.shape == (100, 50)
     assert np.abs(w).max() <= limit
-
-
-def test_glorot_normal_std():
-    w = glorot_normal((400, 400), RNG)
-    expected = math.sqrt(2.0 / 800)
-    assert abs(w.std() - expected) / expected < 0.1
-
-
-def test_he_uniform_bounds():
-    w = he_uniform((100, 10), RNG)
-    assert np.abs(w).max() <= math.sqrt(6.0 / 100)
-
-
-def test_he_normal_std():
-    w = he_normal((500, 100), RNG)
-    expected = math.sqrt(2.0 / 500)
-    assert abs(w.std() - expected) / expected < 0.1
+    expected = np.random.default_rng(0).uniform(-limit, limit, size=(100, 50))
+    np.testing.assert_array_equal(w, expected)
 
 
 def test_zeros():
-    np.testing.assert_array_equal(zeros((3, 2), RNG), np.zeros((3, 2)))
-
-
-def test_registry():
-    assert get_initializer("glorot_uniform") is glorot_uniform
-    with pytest.raises(ValueError, match="unknown initializer"):
-        get_initializer("orthogonal")
+    """The bias starts at zero and draws nothing from the RNG."""
+    rng = np.random.default_rng(1)
+    layer = built(2, 3, rng)
+    np.testing.assert_array_equal(layer.bias.value, np.zeros(2))
+    twin = np.random.default_rng(1)
+    twin.uniform(size=(3, 2))
+    assert rng.random() == twin.random()
 
 
 def test_reproducible_with_same_seed():
-    a = glorot_uniform((4, 4), np.random.default_rng(1))
-    b = glorot_uniform((4, 4), np.random.default_rng(1))
+    a = built(4, 4, np.random.default_rng(1)).weight.value
+    b = built(4, 4, np.random.default_rng(1)).weight.value
     np.testing.assert_array_equal(a, b)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn.gradcheck import numerical_gradient, relative_error
 from repro.nn.losses import MeanSquaredError
+
+from .gradcheck import numerical_gradient, relative_error
 
 RNG = np.random.default_rng(3)
 

@@ -1,7 +1,6 @@
 """Adadelta behaviour tests."""
 
 import numpy as np
-import pytest
 
 from repro.nn.layers import Parameter
 from repro.nn.optimizers import Adadelta
@@ -46,23 +45,3 @@ def test_state_is_per_parameter():
     p2.grad = np.array([-1.0])
     opt.step([p1, p2])
     assert p1.value[0] < 0 < p2.value[0]
-
-
-def test_iterations_counter():
-    opt = Adadelta()
-    param = Parameter("x", np.array([0.0]))
-    param.grad = np.array([0.0])
-    for _ in range(3):
-        opt.step([param])
-    assert opt.iterations == 3
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_rejects_nonpositive_learning_rate(bad):
-    with pytest.raises(ValueError):
-        Adadelta(learning_rate=bad)
-
-
-def test_adadelta_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        Adadelta(rho=1.5)

@@ -11,12 +11,12 @@ RNG = np.random.default_rng(9)
 
 
 def make_net(seed=0):
-    return Sequential([Dense(6), BatchNormalization(), ReLU(), Dense(3)], seed=seed).build(4)
+    return Sequential([Dense(6), BatchNormalization(), ReLU(), Dense(4)], seed=seed).build(4)
 
 
 def test_round_trip_preserves_predictions(tmp_path):
     net = make_net()
-    net.fit(RNG.uniform(size=(32, 4)), RNG.uniform(size=(32, 3)), epochs=3)
+    net.fit(RNG.uniform(size=(32, 4)), epochs=3)
     path = tmp_path / "model.npz"
     save_network(net, path)
 
@@ -28,7 +28,7 @@ def test_round_trip_preserves_predictions(tmp_path):
 
 def test_round_trip_preserves_batchnorm_stats(tmp_path):
     net = make_net()
-    net.fit(RNG.uniform(size=(32, 4)), RNG.uniform(size=(32, 3)), epochs=2)
+    net.fit(RNG.uniform(size=(32, 4)), epochs=2)
     path = tmp_path / "model.npz"
     save_network(net, path)
     fresh = make_net(seed=5)

@@ -71,3 +71,23 @@ def test_clean_tree_passes(checker, tmp_path):
         "import numpy as np\nfrom repro.core import fine  # self import ok\n"
     )
     assert checker.check_tree(tmp_path) == []
+
+
+def test_real_tree_has_no_stale_rules(checker):
+    assert checker.stale_rules(REPO_ROOT / "src") == []
+
+
+def test_rule_for_a_missing_module_fails(checker, monkeypatch, capsys):
+    """A rule naming a deleted module (as key or prefix) fails the lint."""
+    root = REPO_ROOT / "src"
+    rules = {
+        "repro.nn.gone": ("repro.core",),
+        "repro.nn.layers": ("repro.nn.network", "repro.nn.vanished"),
+    }
+    stale = checker.stale_rules(root, rules)
+    assert len(stale) == 2
+    assert "repro.nn.gone names no module" in stale[0]
+    assert "repro.nn.vanished names no module" in stale[1]
+    monkeypatch.setitem(checker.FORBIDDEN, "repro.nn.gone", ("repro.core",))
+    assert checker.main(["--root", str(root)]) == 1
+    assert "1 stale layering rule(s)" in capsys.readouterr().out

@@ -16,6 +16,8 @@ This script walks every module under ``src/repro``, extracts its
 imports from the AST (no code execution), and fails with a non-zero
 exit if any module imports from a package its layer must not know
 about -- e.g. ``repro.core`` importing ``repro.eval`` or ``repro.cli``.
+It also fails when a rule names a module that no longer exists, so a
+deleted module cannot leave behind a rule that never fires.
 
 Run it directly (CI does) or through ``tests/tools/test_layering.py``::
 
@@ -59,19 +61,17 @@ FORBIDDEN: Dict[str, Tuple[str, ...]] = {
     # all three.  Keeps the allocation-free kernel path dependency-light.
     "repro.nn.workspace": ("repro.nn.layers", "repro.nn.optimizers", "repro.nn.losses",
                            "repro.nn.network", "repro.nn.autoencoder", "repro.nn.parallel",
-                           "repro.nn.serialization", "repro.nn.data", "repro.nn.callbacks",
-                           "repro.nn.gradcheck", "repro.nn.initializers"),
+                           "repro.nn.serialization", "repro.nn.data"),
     "repro.nn.layers": ("repro.nn.optimizers", "repro.nn.losses", "repro.nn.network",
                         "repro.nn.autoencoder", "repro.nn.parallel",
-                        "repro.nn.serialization", "repro.nn.gradcheck"),
+                        "repro.nn.serialization"),
     "repro.nn.optimizers": ("repro.nn.losses", "repro.nn.network", "repro.nn.autoencoder",
-                            "repro.nn.parallel", "repro.nn.serialization",
-                            "repro.nn.gradcheck"),
+                            "repro.nn.parallel", "repro.nn.serialization"),
     "repro.nn.losses": ("repro.nn.layers", "repro.nn.optimizers", "repro.nn.network",
                         "repro.nn.autoencoder", "repro.nn.parallel",
-                        "repro.nn.serialization", "repro.nn.gradcheck"),
+                        "repro.nn.serialization"),
     "repro.nn.network": ("repro.nn.autoencoder", "repro.nn.parallel",
-                         "repro.nn.serialization", "repro.nn.gradcheck"),
+                         "repro.nn.serialization"),
     "repro.datagen": ("repro.core", "repro.ingest", "repro.nn", "repro.eval", "repro.cli",
                       "repro.features", "repro.testing"),
     "repro.features": ("repro.core", "repro.ingest", "repro.nn", "repro.eval", "repro.cli",
@@ -116,6 +116,24 @@ def imports_of(path: Path, module: str) -> Iterator[Tuple[int, str]]:
                 yield node.lineno, target
 
 
+def stale_rules(root: Path, rules: Dict[str, Tuple[str, ...]] = FORBIDDEN) -> List[str]:
+    """Every rule key or forbidden prefix that names no module under ``root``.
+
+    A rule about a deleted module can never fire again, so it is reported
+    instead of silently passing.
+    """
+    def exists(name: str) -> bool:
+        path = root.joinpath(*name.split("."))
+        return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+    stale = []
+    for package, forbidden in rules.items():
+        for name in (package, *forbidden):
+            if not exists(name):
+                stale.append(f"{package}: {name} names no module or package under {root}")
+    return stale
+
+
 def check_tree(root: Path) -> List[str]:
     """Every layering violation under ``root`` as a printable string."""
     violations = []
@@ -151,11 +169,17 @@ def main(argv=None) -> int:
     if not (root / "repro").is_dir():
         print(f"error: no repro package under {root}", file=sys.stderr)
         return 2
+    stale = stale_rules(root)
     violations = check_tree(root)
+    if stale:
+        print(f"{len(stale)} stale layering rule(s):")
+        for rule in stale:
+            print(f"  {rule}")
     if violations:
         print(f"{len(violations)} layering violation(s):")
         for violation in violations:
             print(f"  {violation}")
+    if stale or violations:
         return 1
     print("layering OK: no forbidden imports")
     return 0
