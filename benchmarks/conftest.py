@@ -30,15 +30,9 @@ import pytest
 
 from repro.obs import build_bench_report, write_report
 
-from repro.core import (
-    make_acobe,
-    make_all_in_one,
-    make_base_ff,
-    make_baseline,
-    make_no_group,
-    make_one_day,
-)
+from repro.core.detector import ZOO
 from repro.eval.experiments import build_cert_benchmark, cert_config, run_model
+from repro.eval.run import make_model
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -67,31 +61,12 @@ class ModelRunCache:
         self._runs = {}
         self._models = {}
 
-    def _factory(self, name):
-        cfg = self.benchmark.config
-        common = dict(
-            ae_config=cfg.autoencoder,
-            train_stride=cfg.train_stride,
-            n_jobs=cfg.n_jobs,
-        )
-        window = dict(window=cfg.window, matrix_days=cfg.matrix_days)
-        factories = {
-            "ACOBE": lambda: make_acobe(**common, **window),
-            "No-Group": lambda: make_no_group(**common, **window),
-            "1-Day": lambda: make_one_day(**common),
-            "All-in-1": lambda: make_all_in_one(**common, **window),
-            "Baseline": lambda: make_baseline(**common),
-            "Base-FF": lambda: make_base_ff(**common),
-        }
-        return factories[name]
-
     def run(self, name):
+        """The run of the zoo model whose display name is ``name`` (e.g. "1-Day")."""
         if name not in self._runs:
-            model = self._factory(name)()
-            cube = (
-                self.benchmark.coarse_cube() if name == "Baseline" else self.benchmark.cube
-            )
-            self._runs[name] = run_model(model, self.benchmark, cube=cube)
+            key = next(key for key, row in ZOO.items() if row.name == name)
+            model = make_model(key, self.benchmark.config)
+            self._runs[name] = run_model(model, self.benchmark)
             self._models[name] = model
         return self._runs[name]
 

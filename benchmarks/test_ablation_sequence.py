@@ -10,14 +10,9 @@ first reaches rank 1.
 import pytest
 
 from benchmarks.conftest import save_result
+from repro.core.critic import investigation_list
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
-from repro.eval.experiments import (
-    ModelRun,
-    build_case_study,
-    case_study_config,
-    model_investigation_for_day,
-    run_case_study,
-)
+from repro.eval.experiments import build_case_study, case_study_config, run_case_study
 from repro.eval.reporting import format_table
 from repro.features.measurements import concat_cubes
 from repro.features.sequence import extract_sequence_surprise
@@ -50,7 +45,7 @@ def run_with_cube(benchmark_data, cube):
             aspect: {u: float(arr[i, j]) for i, u in enumerate(users)}
             for aspect, arr in scores.items()
         }
-        inv = model_investigation_for_day(aspect_scores, cfg.critic_n)
+        inv = investigation_list(aspect_scores, cfg.critic_n)
         daily_rank[day] = inv.position_of(benchmark_data.victim)
     return daily_rank
 

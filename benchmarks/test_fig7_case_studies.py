@@ -68,7 +68,7 @@ def test_fig7_case_study(benchmark, case_result):
     assert max(after) > max(before), "config aspect did not rise at the attack"
 
     # Benchmark: one day's critic pass over the full population.
-    from repro.eval.experiments import model_investigation_for_day
+    from repro.core.critic import investigation_list
 
     users = run.users
     last = len(run.test_days) - 1
@@ -76,4 +76,4 @@ def test_fig7_case_study(benchmark, case_result):
         aspect: {u: float(arr[i, last]) for i, u in enumerate(users)}
         for aspect, arr in run.scores.items()
     }
-    benchmark(model_investigation_for_day, aspect_scores, cfg.critic_n)
+    benchmark(investigation_list, aspect_scores, cfg.critic_n)

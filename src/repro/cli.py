@@ -31,6 +31,7 @@ import sys
 from dataclasses import fields
 from typing import List, Optional
 
+from repro.core.detector import ZOO
 from repro.eval.experiments import (
     build_case_study,
     build_cert_benchmark,
@@ -42,7 +43,6 @@ from repro.eval.experiments import (
 )
 from repro.eval.reporting import format_table, sparkline
 from repro.eval.run import (
-    MODEL_FACTORIES,
     STREAMING_MODELS,
     DaySource,
     EventSource,
@@ -74,9 +74,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser, export_unit: Optional[st
         help="compute dtype of the autoencoders (default: the preset's); float32 is "
         "NOT bit-comparable with float64 runs (docs/PERFORMANCE.md)",
     )
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="ensemble-training workers (default 0 = one per aspect, "
-                        "1 = in-process); results are identical")
     parser.add_argument("--top", type=int, default=10, help="list length to print")
     parser.add_argument("--trace", action="store_true",
                         help="enable telemetry and print the per-stage span tree after the run")
@@ -129,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="run a model over simulated logs")
     _add_run_arguments(p_det, export_unit=None)
-    p_det.add_argument("--model", default="acobe", choices=sorted(MODEL_FACTORIES))
-    p_det.add_argument("--score-batch", type=int, default=1024,
-                       help="matrix vectors per scoring batch (memory only; same scores)")
+    p_det.add_argument("--model", default="acobe", choices=sorted(ZOO))
 
     p_str = sub.add_parser("stream", help="day-by-day streaming detection with checkpoints")
     _add_run_arguments(p_str, export_unit="observed days")
@@ -186,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_case = sub.add_parser("case-study", help="run an enterprise attack case study")
     p_case.add_argument("attack", choices=("zeus", "wannacry"))
     p_case.add_argument("--scale", default="small", choices=_SCALES)
-    p_case.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes for ensemble training (default 0 = one per aspect, 1 = serial)",
-    )
 
     sub.add_parser("presets", help="show the benchmark scale presets")
     return parser
@@ -222,17 +213,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     telemetry, log_sink = open_telemetry(wants_telemetry, args.log)
     config = cert_config(args.scale, args.seed)
     benchmark = build_cert_benchmark(config)
-    model = make_model(args.model, config, args.jobs, args.dtype)
-    cube = benchmark.coarse_cube() if args.model == "baseline" else benchmark.cube
+    model = make_model(args.model, config, args.dtype)
     print(f"fitting {model.config.name} on {len(benchmark.cube.users)} users ...")
-    model_run = run_model(model, benchmark, cube=cube, score_batch_size=args.score_batch)
+    model_run = run_model(model, benchmark)
 
     print_investigation(model_run.investigation.entries, args.top, benchmark.abnormal_users)
     metrics = evaluate_run(model_run, benchmark.labels)
     print(f"AUC={metrics.auc:.4f}  AP={metrics.average_precision:.4f}  "
           f"FPs-before-TPs={metrics.fps_before_tps}")
     meta = {"model": model.config.name, "scale": config.name, "seed": config.seed,
-            "n_jobs": args.jobs, "users": len(benchmark.cube.users), "auc": metrics.auc,
+            "users": len(benchmark.cube.users), "auc": metrics.auc,
             "average_precision": metrics.average_precision}
     report_run(telemetry, trace=args.trace, metrics_out=args.metrics_out,
                name=f"detect-{args.model}", meta=meta,
@@ -305,11 +295,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_case_study(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.eval.experiments import run_case_study
 
-    config = replace(case_study_config(args.attack, args.scale), n_jobs=args.jobs)
+    config = case_study_config(args.attack, args.scale)
     print(f"simulating {config.n_employees} employees, attack on {config.attack_day} ...")
     benchmark = build_case_study(config)
     result = run_case_study(benchmark)

@@ -61,7 +61,7 @@ import io
 import json
 import time
 import zipfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Container, Dict, Mapping, Optional, Sequence, TypeVar, Union
@@ -141,15 +141,17 @@ def config_digest(config: ModelConfig) -> str:
     training is deterministic in the config, see
     :mod:`repro.nn.parallel`).
 
-    ``n_jobs`` is numerically irrelevant; the digest records it as 1,
-    the default when checkpoints were first written, so those resume
-    under any worker count.  The autoencoder ``dtype`` stays in:
-    float32 and float64 runs are *not* numerically interchangeable.
+    The digest still records the retired ``n_jobs`` (training workers,
+    which never changed a result) as 1, its value when checkpoints were
+    first written, so those checkpoints keep resuming.  The autoencoder
+    ``dtype`` stays in: float32 and float64 runs are *not* numerically
+    interchangeable.
     The retired autoencoder fields are hashed at their fixed values
     (:data:`repro.nn.autoencoder.RETIRED_FIELDS`), as when they were
     settable, so existing digests stay valid.
     """
-    fields = asdict(replace(config, n_jobs=1))
+    fields = asdict(config)
+    fields["n_jobs"] = 1
     fields["autoencoder"].update(RETIRED_FIELDS)
     canonical = json.dumps(fields, sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -18,6 +18,8 @@ Baseline   normalized      --      1      no       split (coarse
 The Baseline/Base-FF rows differ from ACOBE exactly as Section V-C
 describes; Baseline additionally consumes the coarse-grained feature
 cube from :func:`repro.features.cert.extract_baseline_measurements`.
+The table is :data:`ZOO`; :func:`zoo_model` and the ``make_*`` names
+build its rows.
 
 Workflow: ``fit(cube, group_map, train_days)`` then
 ``score(days)`` / ``investigate(days)``.
@@ -52,12 +54,10 @@ from repro.obs import get_telemetry
 class ModelConfig:
     """Configuration of a compound-behaviour model.
 
-    ``n_jobs`` controls how many worker processes train the per-aspect
-    ensemble (< 1 = one per aspect, the default; 1 = in-process serial).
-    Training results are bit-identical for every value -- each aspect's
-    autoencoder seed is derived from ``autoencoder.seed`` with
-    :func:`repro.nn.parallel.derive_seed`, so the trained weights depend
-    only on the configuration, never on scheduling.
+    Each aspect's autoencoder seed is derived from ``autoencoder.seed``
+    with :func:`repro.nn.parallel.derive_seed`, so the trained weights
+    depend only on the configuration, never on how
+    :func:`~repro.nn.parallel.train_ensemble` schedules the aspects.
     """
 
     name: str = "ACOBE"
@@ -71,7 +71,6 @@ class ModelConfig:
     all_in_one: bool = False
     critic_n: int = 3
     train_stride: int = 1
-    n_jobs: int = 0
     autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
 
     def __post_init__(self) -> None:
@@ -132,7 +131,6 @@ class CompoundBehaviorModel:
         cube: MeasurementCube,
         group_map: Optional[Mapping[str, str]],
         train_days: Sequence[date],
-        verbose: bool = False,
     ) -> "CompoundBehaviorModel":
         """Build the behavioural representation and train the ensemble.
 
@@ -145,7 +143,7 @@ class CompoundBehaviorModel:
         """
         cfg = self.config
         telemetry = get_telemetry()
-        with telemetry.span("detector.fit", model=cfg.name, n_jobs=cfg.n_jobs) as span:
+        with telemetry.span("detector.fit", model=cfg.name) as span:
             with telemetry.span("detector.representation"):
                 self._prepare_representation(cube, group_map, train_days)
 
@@ -176,19 +174,18 @@ class CompoundBehaviorModel:
                 )
                 tasks.append(AspectTask(aspect.name, view, ae_config))
 
-            trained = train_ensemble(tasks, n_jobs=cfg.n_jobs, verbose=verbose)
+            trained = train_ensemble(tasks)
             self._autoencoders = {name: t.autoencoder for name, t in trained.items()}
             self._histories = {name: t.history for name, t in trained.items()}
             self._fitted = True
         return self
 
-    def score(self, days: Sequence[date], batch_size: int = 1024) -> Dict[str, np.ndarray]:
+    def score(self, days: Sequence[date]) -> Dict[str, np.ndarray]:
         """Per-aspect anomaly scores.
 
-        A thin wrapper over :class:`~repro.core.pipeline.ScoringStage`:
-        scoring streams ``batch_size`` flattened matrices at a time
-        through each autoencoder.  Errors are per-row, so any batch size
-        yields identical scores.
+        A thin wrapper over :class:`~repro.core.pipeline.ScoringStage`,
+        which streams fixed-size batches of flattened matrices through
+        each autoencoder.
 
         Returns:
             aspect name -> array ``(n_users, len(days))`` of
@@ -204,39 +201,25 @@ class CompoundBehaviorModel:
                 with telemetry.span("detector.score.aspect", aspect=aspect.name):
                     view = self._view_for(aspect, days)
                     ae = self._autoencoders[aspect.name]
-                    errors = scoring.score_view(view, ae, batch_size=batch_size)
+                    errors = scoring.score_view(view, ae)
                     scores[aspect.name] = errors.reshape(view.n_users, view.n_anchors)
                 telemetry.counter("detector.scored_vectors_total").inc(
                     view.n_users * view.n_anchors
                 )
         return scores
 
-    def investigate(
-        self,
-        days: Sequence[date],
-        n_votes: Optional[int] = None,
-        reduce: str = "max",
-        batch_size: int = 1024,
-    ) -> InvestigationList:
+    def investigate(self, days: Sequence[date]) -> InvestigationList:
         """The ordered investigation list over a scoring period.
 
-        Each aspect scores a user by the ``reduce`` ("max" or "mean") of
-        its daily reconstruction errors over ``days``; the critic then
-        combines per-aspect ranks into priorities.
+        Each aspect scores a user by the maximum of its daily
+        reconstruction errors over ``days``; the critic then combines the
+        per-aspect ranks into priorities with N = ``config.critic_n``.
         """
-        if reduce not in ("max", "mean"):
-            raise ValueError(f"reduce must be 'max' or 'mean', got {reduce!r}")
-        telemetry = get_telemetry()
-        with telemetry.span(
-            "detector.investigate", model=self.config.name, reduce=reduce
-        ):
-            scores = self.score(days, batch_size=batch_size)
-            reduced = {
-                name: (array.max(axis=1) if reduce == "max" else array.mean(axis=1))
-                for name, array in scores.items()
-            }
+        with get_telemetry().span("detector.investigate", model=self.config.name):
+            scores = self.score(days)
+            peaks = {name: array.max(axis=1) for name, array in scores.items()}
             return self._engine.critic.investigate(
-                reduced, self._deviations.users, n_votes or self.config.critic_n
+                peaks, self._deviations.users, self.config.critic_n
             )
 
     def valid_anchor_days(self, days: Sequence[date]) -> List[date]:
@@ -336,171 +319,107 @@ class CompoundBehaviorModel:
 # Model zoo
 # ---------------------------------------------------------------------------
 
+_SINGLE_DAY = dict(representation="normalized", matrix_days=1, apply_weights=False)
 
-def _zoo_model(
-    config: ModelConfig,
-    ae_config: Optional[AutoencoderConfig],
+#: The paper's six models (the module docstring's table), keyed by CLI name.
+#: Each row is the model's configuration before the caller's autoencoder,
+#: critic N and training stride; a ``deviation`` row also takes the
+#: caller's window, the single-day rows do not.
+ZOO: Dict[str, ModelConfig] = {
+    "acobe": ModelConfig(name="ACOBE"),
+    "no-group": ModelConfig(name="No-Group", include_group=False),
+    "one-day": ModelConfig(name="1-Day", **_SINGLE_DAY),
+    "all-in-one": ModelConfig(name="All-in-1", all_in_one=True, critic_n=1),
+    "baseline": ModelConfig(name="Baseline", include_group=False, **_SINGLE_DAY),
+    "base-ff": ModelConfig(name="Base-FF", include_group=False, **_SINGLE_DAY),
+}
+
+#: The one zoo model fit on Liu et al.'s coarse-grained feature cube
+#: (:func:`repro.features.cert.extract_baseline_measurements`: 24 one-hour
+#: time-frames, four aspects); every other model, Base-FF included, is
+#: fit on ACOBE's fine-grained cube.
+COARSE_FEATURE_MODEL = "Baseline"
+
+
+def zoo_model(
+    key: str,
+    ae_config: Optional[AutoencoderConfig] = None,
+    critic_n: Optional[int] = None,
+    train_stride: int = 1,
     dtype: Optional[str] = None,
+    window: int = 30,
+    matrix_days: Optional[int] = None,
 ) -> CompoundBehaviorModel:
-    if ae_config is not None:
-        config = replace(config, autoencoder=ae_config)
+    """An unfitted model of row ``key`` of :data:`ZOO`.
+
+    ``critic_n`` defaults to the row's N; ``window``/``matrix_days``
+    (default: the window) apply to the deviation rows only.  ``dtype``
+    overrides the autoencoder's compute dtype (CLI ``--dtype``, presets):
+    float32 halves memory traffic but is not bit-comparable with float64.
+    """
+    row = ZOO[key]
+    config = replace(
+        row,
+        critic_n=row.critic_n if critic_n is None else critic_n,
+        train_stride=train_stride,
+        autoencoder=ae_config if ae_config is not None else row.autoencoder,
+    )
+    if row.representation == "deviation":
+        config = replace(config, window=window, matrix_days=matrix_days or window)
     if dtype is not None:
-        # Compute-dtype override (CLI --dtype / presets): float32 halves
-        # memory traffic but is not bit-comparable with float64 runs.
         config = replace(config, autoencoder=replace(config.autoencoder, dtype=dtype))
     return CompoundBehaviorModel(config)
 
 
 def make_acobe(
-    ae_config: Optional[AutoencoderConfig] = None,
-    window: int = 30,
-    matrix_days: Optional[int] = None,
-    critic_n: int = 3,
-    train_stride: int = 1,
-    n_jobs: int = 0,
+    ae_config: Optional[AutoencoderConfig] = None, window: int = 30,
+    matrix_days: Optional[int] = None, critic_n: int = 3, train_stride: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """ACOBE as evaluated in Section V (N=3, omega=30)."""
-    return _zoo_model(
-        ModelConfig(
-            name="ACOBE",
-            window=window,
-            matrix_days=matrix_days or window,
-            critic_n=critic_n,
-            train_stride=train_stride,
-            n_jobs=n_jobs,
-        ),
-        ae_config,
-        dtype=dtype,
-    )
+    return zoo_model("acobe", ae_config, critic_n, train_stride, dtype, window, matrix_days)
 
 
 def make_no_group(
-    ae_config: Optional[AutoencoderConfig] = None,
-    window: int = 30,
-    matrix_days: Optional[int] = None,
-    critic_n: int = 3,
-    train_stride: int = 1,
-    n_jobs: int = 0,
+    ae_config: Optional[AutoencoderConfig] = None, window: int = 30,
+    matrix_days: Optional[int] = None, critic_n: int = 3, train_stride: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The No-Group ablation: ACOBE without the group-behaviour block."""
-    return _zoo_model(
-        ModelConfig(
-            name="No-Group",
-            include_group=False,
-            window=window,
-            matrix_days=matrix_days or window,
-            critic_n=critic_n,
-            train_stride=train_stride,
-            n_jobs=n_jobs,
-        ),
-        ae_config,
-        dtype=dtype,
-    )
+    return zoo_model("no-group", ae_config, critic_n, train_stride, dtype, window, matrix_days)
 
 
 def make_one_day(
-    ae_config: Optional[AutoencoderConfig] = None,
-    critic_n: int = 3,
-    train_stride: int = 1,
-    n_jobs: int = 0,
+    ae_config: Optional[AutoencoderConfig] = None, critic_n: int = 3, train_stride: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The 1-Day ablation: normalized single-day occurrences."""
-    return _zoo_model(
-        ModelConfig(
-            name="1-Day",
-            representation="normalized",
-            matrix_days=1,
-            apply_weights=False,
-            critic_n=critic_n,
-            train_stride=train_stride,
-            n_jobs=n_jobs,
-        ),
-        ae_config,
-        dtype=dtype,
-    )
+    return zoo_model("one-day", ae_config, critic_n, train_stride, dtype)
 
 
 def make_all_in_one(
-    ae_config: Optional[AutoencoderConfig] = None,
-    window: int = 30,
-    matrix_days: Optional[int] = None,
-    critic_n: int = 1,
-    train_stride: int = 1,
-    n_jobs: int = 0,
+    ae_config: Optional[AutoencoderConfig] = None, window: int = 30,
+    matrix_days: Optional[int] = None, critic_n: int = 1, train_stride: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
     """The All-in-1 ablation: one autoencoder over every feature."""
-    return _zoo_model(
-        ModelConfig(
-            name="All-in-1",
-            all_in_one=True,
-            window=window,
-            matrix_days=matrix_days or window,
-            critic_n=critic_n,
-            train_stride=train_stride,
-            n_jobs=n_jobs,
-        ),
-        ae_config,
-        dtype=dtype,
-    )
+    return zoo_model("all-in-one", ae_config, critic_n, train_stride, dtype, window, matrix_days)
 
 
 def make_baseline(
-    ae_config: Optional[AutoencoderConfig] = None,
-    critic_n: int = 3,
-    train_stride: int = 1,
-    n_jobs: int = 0,
+    ae_config: Optional[AutoencoderConfig] = None, critic_n: int = 3, train_stride: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
-    """Liu et al.'s Baseline (fit it with the coarse-grained cube).
+    """Liu et al.'s Baseline: single-day normalized counts, no group, no weights.
 
-    Single-day normalized activity counts, no group behaviour, no
-    weights; pair with
-    :func:`repro.features.cert.extract_baseline_measurements` (24
-    one-hour time-frames, four aspects).
+    Fit it on the coarse-grained cube (:data:`COARSE_FEATURE_MODEL`).
     """
-    return _zoo_model(
-        ModelConfig(
-            name="Baseline",
-            representation="normalized",
-            matrix_days=1,
-            apply_weights=False,
-            include_group=False,
-            critic_n=critic_n,
-            train_stride=train_stride,
-            n_jobs=n_jobs,
-        ),
-        ae_config,
-        dtype=dtype,
-    )
+    return zoo_model("baseline", ae_config, critic_n, train_stride, dtype)
 
 
 def make_base_ff(
-    ae_config: Optional[AutoencoderConfig] = None,
-    critic_n: int = 3,
-    train_stride: int = 1,
-    n_jobs: int = 0,
+    ae_config: Optional[AutoencoderConfig] = None, critic_n: int = 3, train_stride: int = 1,
     dtype: Optional[str] = None,
 ) -> CompoundBehaviorModel:
-    """Base-FF: the Baseline framework on ACOBE's fine-grained features.
-
-    Fit it with the fine-grained cube from
-    :func:`repro.features.cert.extract_cert_measurements`.
-    """
-    return _zoo_model(
-        ModelConfig(
-            name="Base-FF",
-            representation="normalized",
-            matrix_days=1,
-            apply_weights=False,
-            include_group=False,
-            critic_n=critic_n,
-            train_stride=train_stride,
-            n_jobs=n_jobs,
-        ),
-        ae_config,
-        dtype=dtype,
-    )
+    """Base-FF: the Baseline framework on ACOBE's fine-grained features."""
+    return zoo_model("base-ff", ae_config, critic_n, train_stride, dtype)

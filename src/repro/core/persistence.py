@@ -186,9 +186,11 @@ def load_model(directory: Union[str, Path]) -> CompoundBehaviorModel:
                     f"model config {config_path} sets autoencoder {key!r} to "
                     f"{saved!r}; this build trains only with {value!r}"
                 )
-        # Knobs that older builds saved and this one removed; neither
-        # ever changed results (user sharding, the nn arena switch).
+        # Knobs that older builds saved and this one removed; none ever
+        # changed results (user sharding, training workers, the nn arena
+        # switch).
         config_dict.pop("n_shards", None)
+        config_dict.pop("n_jobs", None)
         ae_dict.pop("arena", None)
         config = ModelConfig(autoencoder=AutoencoderConfig(**ae_dict), **config_dict)
     except (KeyError, TypeError, ValueError) as exc:

@@ -30,16 +30,14 @@ __all__ = ["CriticStage", "DetectionPipeline", "ScoringStage"]
 class ScoringStage:
     """Scores rows against a trained autoencoder."""
 
-    def score_view(self, view, autoencoder: Autoencoder, batch_size: int = 1024) -> np.ndarray:
+    def score_view(self, view, autoencoder: Autoencoder) -> np.ndarray:
         """Reconstruction errors of every pooled ``(user, anchor)`` row of a
         :class:`~repro.core.representation.MatrixView`."""
-        return autoencoder.reconstruction_error(view, batch_size=batch_size)
+        return autoencoder.reconstruction_error(view)
 
-    def score_vectors(
-        self, vectors: np.ndarray, autoencoder: Autoencoder, batch_size: int = 1024
-    ) -> np.ndarray:
+    def score_vectors(self, vectors: np.ndarray, autoencoder: Autoencoder) -> np.ndarray:
         """Reconstruction errors of dense per-user vectors ``(n_users, dim)``."""
-        return autoencoder.reconstruction_error(vectors, batch_size=batch_size)
+        return autoencoder.reconstruction_error(vectors)
 
 
 class CriticStage:

@@ -122,7 +122,8 @@ class MatrixView:
     autoencoders).
 
     The view is a *row source* over the pooled ``(user, anchor)`` grid in
-    C order (user-major), the row order of :meth:`training_set`:
+    C order (user-major), the row order of :meth:`materialize` reshaped
+    to ``(-1, dim)``:
 
     * ``len(view)`` -- pooled sample count ``n_users * n_anchors``.
     * ``view.dim`` -- flattened width ``rows * T * matrix_days``.
@@ -244,10 +245,6 @@ class MatrixView:
         for a in range(self.n_anchors):
             out[:, a, :] = self.vectors_for_anchor(a)
         return out
-
-    def training_set(self) -> np.ndarray:
-        """Materialized pooled 2-D matrix (prefer batch iteration)."""
-        return self.materialize().reshape(-1, self.dim)
 
     # -- pickling: ship the compact base array, never the windows -------
     def __getstate__(self) -> dict:

@@ -23,12 +23,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.critic import InvestigationList
-from repro.core.detector import CompoundBehaviorModel
+from repro.core.critic import InvestigationList, investigation_list
+from repro.core.detector import COARSE_FEATURE_MODEL, CompoundBehaviorModel, make_acobe
 from repro.datagen.attacks import AttackInjection, inject_wannacry, inject_zeus
 from repro.datagen.calendar import SimulationCalendar
 from repro.datagen.enterprise import (
@@ -83,8 +83,6 @@ class CertBenchmarkConfig:
     autoencoder: AutoencoderConfig
     train_stride: int = 1
     seed: int = 7
-    #: worker processes for ensemble training (< 1 = one per aspect, 1 = serial)
-    n_jobs: int = 0
     start: date = CERT_START
     #: 1 = alternate scenario 1/2 across departments; 2 = inject both
     #: scenarios in every department (the r6.1+r6.2 structure: each
@@ -340,33 +338,30 @@ class ModelRun:
         return self.scores[aspect][self.users.index(user)]
 
 
-def run_model(
-    model: CompoundBehaviorModel,
-    benchmark: CertBenchmark,
-    cube: Optional[MeasurementCube] = None,
-    verbose: bool = False,
-    score_batch_size: int = 1024,
-) -> ModelRun:
+def run_model(model: CompoundBehaviorModel, benchmark: CertBenchmark) -> ModelRun:
     """Fit a model on the benchmark's training period and score the test.
 
-    ``score_batch_size`` bounds how many flattened matrix vectors are
-    materialized at once during scoring (errors are per-row, so any
-    value yields identical scores).
+    The model fits on the benchmark's fine-grained cube, except
+    :data:`~repro.core.detector.COARSE_FEATURE_MODEL` (the Baseline),
+    which fits on the coarse-grained one.
     """
-    cube = cube if cube is not None else benchmark.cube
+    if model.config.name == COARSE_FEATURE_MODEL:
+        cube = benchmark.coarse_cube()
+    else:
+        cube = benchmark.cube
     with get_telemetry().span(
         "eval.run_model",
         model=model.config.name,
         benchmark=benchmark.config.name,
         users=len(cube.users),
     ) as span:
-        model.fit(cube, benchmark.group_map, benchmark.train_days, verbose=verbose)
+        model.fit(cube, benchmark.group_map, benchmark.train_days)
         test_anchors = model.valid_anchor_days(benchmark.test_days)
         if not test_anchors:
             raise ValueError("no test day has enough history to score")
         span.annotate(test_anchors=len(test_anchors))
-        scores = model.score(test_anchors, batch_size=score_batch_size)
-        investigation = model.investigate(test_anchors, batch_size=score_batch_size)
+        scores = model.score(test_anchors)
+        investigation = model.investigate(test_anchors)
     return ModelRun(
         name=model.config.name,
         users=model.users,
@@ -388,6 +383,16 @@ class DetectionMetrics:
     pr: List
 
 
+def daily_investigations(run: ModelRun, n_votes: int) -> Iterator[Tuple[date, InvestigationList]]:
+    """Each test day with the investigation list of that day's scores alone."""
+    for j, day in enumerate(run.test_days):
+        aspect_scores = {
+            aspect: {user: float(array[i, j]) for i, user in enumerate(run.users)}
+            for aspect, array in run.scores.items()
+        }
+        yield day, investigation_list(aspect_scores, n_votes)
+
+
 def daily_min_priorities(run: ModelRun, n_votes: int) -> Dict[str, int]:
     """Each user's best (minimum) daily investigation priority.
 
@@ -397,17 +402,9 @@ def daily_min_priorities(run: ModelRun, n_votes: int) -> Dict[str, int]:
     priority a user must rank high in ``n_votes`` aspects on the *same*
     day, which uncorrelated noise rarely does.
     """
-    from repro.core.critic import investigation_list
-
-    users = run.users
     n_votes = min(n_votes, len(run.scores))  # e.g. All-in-1 has one aspect
-    best: Dict[str, int] = {u: len(users) + 1 for u in users}
-    for j, _day in enumerate(run.test_days):
-        aspect_scores = {
-            aspect: {u: float(arr[i, j]) for i, u in enumerate(users)}
-            for aspect, arr in run.scores.items()
-        }
-        daily = investigation_list(aspect_scores, n_votes)
+    best: Dict[str, int] = {u: len(run.users) + 1 for u in run.users}
+    for _day, daily in daily_investigations(run, n_votes):
         for entry in daily.entries:
             if entry.priority < best[entry.user]:
                 best[entry.user] = entry.priority
@@ -467,8 +464,6 @@ class CaseStudyConfig:
     autoencoder: AutoencoderConfig
     critic_n: int = 3
     train_stride: int = 1
-    #: worker processes for ensemble training (< 1 = one per aspect, 1 = serial)
-    n_jobs: int = 0
     seed: int = 13
     start: date = date(2021, 7, 1)
 
@@ -609,51 +604,27 @@ class CaseStudyRun:
         return sorted(d for d, rank in self.daily_rank.items() if rank == 1)
 
 
-def run_case_study(
-    benchmark: CaseStudyBenchmark, verbose: bool = False, score_batch_size: int = 1024
-) -> CaseStudyRun:
+def run_case_study(benchmark: CaseStudyBenchmark) -> CaseStudyRun:
     """Fit ACOBE on the case study and track the victim's daily rank."""
-    from repro.core.detector import ModelConfig
-
     cfg = benchmark.config
-    model = CompoundBehaviorModel(
-        ModelConfig(
-            name="ACOBE",
-            window=cfg.window,
-            matrix_days=cfg.matrix_days,
-            critic_n=cfg.critic_n,
-            train_stride=cfg.train_stride,
-            n_jobs=cfg.n_jobs,
-            autoencoder=cfg.autoencoder,
-        )
+    model = make_acobe(
+        cfg.autoencoder,
+        window=cfg.window,
+        matrix_days=cfg.matrix_days,
+        critic_n=cfg.critic_n,
+        train_stride=cfg.train_stride,
     )
-    model.fit(benchmark.cube, None, benchmark.train_days, verbose=verbose)
+    model.fit(benchmark.cube, None, benchmark.train_days)
     test_anchors = model.valid_anchor_days(benchmark.test_days)
-    scores = model.score(test_anchors, batch_size=score_batch_size)
-    investigation = model.investigate(test_anchors, batch_size=score_batch_size)
     run = ModelRun(
-        name="ACOBE",
+        name=model.config.name,
         users=model.users,
         test_days=test_anchors,
-        scores=scores,
-        investigation=investigation,
+        scores=model.score(test_anchors),
+        investigation=model.investigate(test_anchors),
     )
-    daily_rank: Dict[date, int] = {}
-    users = model.users
-    for j, day in enumerate(test_anchors):
-        aspect_scores = {
-            aspect: {user: float(array[i, j]) for i, user in enumerate(users)}
-            for aspect, array in scores.items()
-        }
-        daily = model_investigation_for_day(aspect_scores, cfg.critic_n)
-        daily_rank[day] = daily.position_of(benchmark.victim)
+    daily_rank = {
+        day: daily.position_of(benchmark.victim)
+        for day, daily in daily_investigations(run, cfg.critic_n)
+    }
     return CaseStudyRun(benchmark=benchmark, run=run, daily_rank=daily_rank)
-
-
-def model_investigation_for_day(
-    aspect_scores: Mapping[str, Mapping[str, float]], n_votes: int
-) -> InvestigationList:
-    """A single day's investigation list (used for daily-rank tracking)."""
-    from repro.core.critic import investigation_list
-
-    return investigation_list(aspect_scores, n_votes)

@@ -30,20 +30,13 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core import (
-    make_acobe,
-    make_all_in_one,
-    make_base_ff,
-    make_baseline,
-    make_no_group,
-    make_one_day,
-)
 from repro.core.checkpoint import (
     CheckpointMismatchError,
     CheckpointNotFoundError,
     resume_streaming,
     save_checkpoint,
 )
+from repro.core.detector import ZOO, zoo_model
 from repro.core.persistence import attach_representation, load_model, save_model
 from repro.core.streaming import DailyResult, StreamingDetector
 from repro.eval.experiments import CertBenchmarkConfig, build_cert_benchmark, cert_population
@@ -77,26 +70,14 @@ from repro.obs import (
     write_report,
 )
 
-MODEL_FACTORIES = {
-    "acobe": make_acobe,
-    "no-group": make_no_group,
-    "one-day": make_one_day,
-    "all-in-one": make_all_in_one,
-    "baseline": make_baseline,
-    "base-ff": make_base_ff,
-}
-
 #: Models with the deviation representation -- the ones that can stream.
-STREAMING_MODELS = ("acobe", "no-group", "all-in-one")
+STREAMING_MODELS = tuple(key for key, row in ZOO.items() if row.representation == "deviation")
 
 
-def make_model(name: str, config: CertBenchmarkConfig, n_jobs: int = 0, dtype=None):
+def make_model(name: str, config: CertBenchmarkConfig, dtype=None):
     """An unfitted model of the zoo, configured from a CERT preset."""
-    kwargs = dict(ae_config=config.autoencoder, train_stride=config.train_stride,
-                  n_jobs=n_jobs, dtype=dtype)
-    if name in STREAMING_MODELS:
-        kwargs.update(window=config.window, matrix_days=config.matrix_days)
-    return MODEL_FACTORIES[name](**kwargs)
+    return zoo_model(name, config.autoencoder, train_stride=config.train_stride, dtype=dtype,
+                     window=config.window, matrix_days=config.matrix_days)
 
 
 def open_telemetry(enable: bool, log: Optional[str] = None):
@@ -150,7 +131,6 @@ class RunOptions:
     """What the driver does around a source (the shared CLI flags)."""
 
     model: str = "acobe"
-    jobs: int = 0
     dtype: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     resume: bool = False
@@ -460,7 +440,7 @@ def run(source: Source, options: RunOptions) -> int:
             except CheckpointMismatchError as exc:
                 return _error(str(exc), 2)
         else:
-            model = make_model(options.model, source.config, options.jobs, options.dtype)
+            model = make_model(options.model, source.config, options.dtype)
             print(f"fitting {model.config.name} on {len(feed.cube.users)} users ...")
             model.fit(feed.cube, feed.group_map, feed.train_days)
             if model_dir is not None:

@@ -30,7 +30,7 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -432,17 +432,6 @@ class Ingestor:
             telemetry.gauge("ingest.open_days").set(self.open_day_span)
             self._open_days_published_to = telemetry
         self._export_tick(telemetry)
-        return results
-
-    def push_many(self, events: Iterable[Union[Event, Tuple[Event, str]]]) -> List[IngestResult]:
-        """Push a batch; accepts bare events or ``(event, fingerprint)``."""
-        results: List[IngestResult] = []
-        for item in events:
-            if isinstance(item, Event):
-                results.extend(self.push(item))
-            else:
-                event, fingerprint = item
-                results.extend(self.push(event, fingerprint))
         return results
 
     def flush(self, until: Optional[date] = None) -> List[IngestResult]:

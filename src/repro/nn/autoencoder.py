@@ -84,6 +84,10 @@ RETIRED_FIELDS = {
     "extra": {},
 }
 
+#: Rows per inference chunk when scoring: bounds the flattened vectors
+#: materialized at once; errors are per-row, so it never changes a score.
+SCORE_BATCH = 1024
+
 
 class Autoencoder:
     """Encoder/decoder pair with reconstruction-error scoring.
@@ -120,7 +124,7 @@ class Autoencoder:
     def fitted(self) -> bool:
         return self._fitted
 
-    def fit(self, x: np.ndarray, verbose: bool = False) -> TrainingHistory:
+    def fit(self, x: np.ndarray) -> TrainingHistory:
         """Train the autoencoder to reconstruct ``x`` (normal data only).
 
         ``x`` may be a dense ``(n, input_dim)`` array or a row source
@@ -144,20 +148,19 @@ class Autoencoder:
             batch_size=cfg.batch_size,
             validation_split=split,
             early_stopping_patience=cfg.early_stopping_patience,
-            verbose=verbose,
         )
         self._fitted = True
         return history
 
-    def reconstruct(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+    def reconstruct(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode reconstruction of ``x``."""
-        return self.network.predict(self._validate(x), batch_size=batch_size)
+        return self.network.predict(self._validate(x), batch_size=SCORE_BATCH)
 
-    def reconstruction_error(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+    def reconstruction_error(self, x: np.ndarray) -> np.ndarray:
         """Per-sample anomaly score: reconstruction MSE of each row.
 
         Accepts a dense array or a row source (:mod:`repro.nn.data`);
-        row sources are scored in ``batch_size`` chunks so only one
+        row sources are scored in :data:`SCORE_BATCH` chunks so only one
         batch of flattened vectors is ever materialized.  Scores are
         per-row, hence identical either way.
         """
@@ -167,13 +170,13 @@ class Autoencoder:
                 raise ValueError(f"expected rows of width {self.input_dim}, got {x.dim}")
             n = len(x)
             errors = np.empty(n)
-            for start in range(0, n, batch_size):
-                idx = np.arange(start, min(start + batch_size, n))
+            for start in range(0, n, SCORE_BATCH):
+                idx = np.arange(start, min(start + SCORE_BATCH, n))
                 xb = np.asarray(x.rows(idx), dtype=np.float64)
-                errors[idx] = per_sample(xb, self.network.predict(xb, batch_size=batch_size))
+                errors[idx] = per_sample(xb, self.network.predict(xb, batch_size=SCORE_BATCH))
             return errors
         x = self._validate(x)
-        return per_sample(x, self.reconstruct(x, batch_size=batch_size))
+        return per_sample(x, self.reconstruct(x))
 
     def _validate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -173,7 +173,6 @@ class Sequential:
         batch_size: int = 32,
         validation_split: float = 0.0,
         early_stopping_patience: Optional[int] = None,
-        verbose: bool = False,
     ) -> TrainingHistory:
         """Train to reconstruct ``x`` with mini-batch Adadelta on the MSE loss.
 
@@ -184,15 +183,13 @@ class Sequential:
                 array, or a row source (:mod:`repro.nn.data`) whose
                 mini-batches are gathered lazily and which trains
                 bit-identically to passing the materialized array.
-            epochs: maximum number of passes over the data.
-            batch_size: mini-batch size.
+            epochs: maximum number of passes over the data (>= 1).
+            batch_size: mini-batch size (>= 1).
             validation_split: trailing fraction of the (shuffled) data held
                 out for validation loss / early stopping.
             early_stopping_patience: stop after this many epochs without
                 improvement in the monitored loss (validation loss when a
                 split is used, else training loss).
-            verbose: print one ``epoch i/n loss=... [val_loss=...]`` line
-                per epoch.
 
         Returns:
             A :class:`TrainingHistory` with per-epoch losses.
@@ -227,6 +224,10 @@ class Sequential:
 
         if n_total == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not 0.0 <= validation_split < 1.0:
             raise ValueError(f"validation_split must be in [0, 1), got {validation_split}")
         if not self.built:
@@ -260,7 +261,7 @@ class Sequential:
         with telemetry.span(
             "nn.fit", samples=int(n), input_dim=int(width), batch_size=batch_size
         ) as span:
-            for epoch in range(epochs):
+            for _ in range(epochs):
                 order = self._rng.permutation(n)
                 epoch_loss = 0.0
                 for start in range(0, n, batch_size):
@@ -291,11 +292,6 @@ class Sequential:
                     history.val_loss.append(monitor)
                 else:
                     monitor = epoch_loss
-                if verbose:
-                    line = f"epoch {epoch + 1}/{epochs} loss={epoch_loss:.6f}"
-                    if x_val is not None:
-                        line += f" val_loss={monitor:.6f}"
-                    print(line)
 
                 if early_stopping_patience is not None:
                     if monitor < best_monitor:

@@ -187,7 +187,7 @@ def resolve_n_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
     return n_tasks if n_jobs < 1 else min(n_jobs, n_tasks)
 
 
-def _train(task: AspectTask, ae: Autoencoder, verbose: bool = False) -> TrainingHistory:
+def _train(task: AspectTask, ae: Autoencoder) -> TrainingHistory:
     """Fit ``ae`` on one task in the current process, BLAS on one thread."""
     telemetry = get_telemetry()
     with telemetry.span(
@@ -196,7 +196,7 @@ def _train(task: AspectTask, ae: Autoencoder, verbose: bool = False) -> Training
         samples=n_samples_of(task.data),
         input_dim=ae.input_dim,
     ) as span, blas_threads(1):
-        history = ae.fit(task.data, verbose=verbose)
+        history = ae.fit(task.data)
         span.annotate(epochs_trained=history.epochs_trained)
     telemetry.counter("train.aspects_total").inc()
     if history.loss:
@@ -210,10 +210,10 @@ def _train(task: AspectTask, ae: Autoencoder, verbose: bool = False) -> Training
 #: (docs/PERFORMANCE.md section 9), which smaller fits do not win back.
 _MIN_FORK_WORK = 3e9
 
-#: ``(tasks, autoencoders, verbose)`` of each fan-out in flight.  Workers
-#: are forked while their fan-out is registered here and train their
+#: ``(tasks, autoencoders)`` of each fan-out in flight.  Workers are
+#: forked while their fan-out is registered here and train their
 #: inherited copy of its autoencoder, so no training data is pickled.
-_FANOUTS: Dict[int, Tuple[List[AspectTask], List[Autoencoder], bool]] = {}
+_FANOUTS: Dict[int, Tuple[List[AspectTask], List[Autoencoder]]] = {}
 _FANOUT_KEYS = count()
 
 
@@ -225,7 +225,7 @@ def _train_in_worker(key: int, index: int) -> Tuple[TrainingHistory, List[dict],
     snapshot of the fresh worker-local :class:`~repro.obs.Telemetry` the
     task trained under, for the parent to merge.
     """
-    tasks, autoencoders, verbose = _FANOUTS[key]
+    tasks, autoencoders = _FANOUTS[key]
     task, ae = tasks[index], autoencoders[index]
     parent = local = get_telemetry()
     if parent.enabled:
@@ -243,7 +243,7 @@ def _train_in_worker(key: int, index: int) -> Tuple[TrainingHistory, List[dict],
         local.capture_logs = parent.log_sink is not None or parent.capture_logs
     previous = set_telemetry(local)
     try:
-        history = _train(task, ae, verbose)
+        history = _train(task, ae)
     finally:
         set_telemetry(previous)
     snapshot = local.snapshot() if parent.enabled else None
@@ -260,7 +260,6 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
 def train_ensemble(
     tasks: Sequence[AspectTask],
     n_jobs: Optional[int] = 0,
-    verbose: bool = False,
 ) -> Dict[str, TrainedAspect]:
     """Train every task, by default one forked worker per task.
 
@@ -271,8 +270,6 @@ def train_ensemble(
             :data:`_MIN_FORK_WORK` -- a positive value caps the count and
             1 trains in-process.  Results are bit-identical for every
             value.
-        verbose: per-epoch progress lines (printed by the workers when
-            parallel).
 
     Returns:
         task name -> :class:`TrainedAspect`, in task order.
@@ -299,7 +296,7 @@ def train_ensemble(
 
     def train_all_serial() -> Dict[str, TrainedAspect]:
         return {
-            t.name: TrainedAspect(t.name, ae, _train(t, ae, verbose))
+            t.name: TrainedAspect(t.name, ae, _train(t, ae))
             for t, ae in zip(tasks, autoencoders)
         }
 
@@ -314,7 +311,7 @@ def train_ensemble(
             return train_all_serial()
 
         key = next(_FANOUT_KEYS)
-        _FANOUTS[key] = (tasks, autoencoders, verbose)
+        _FANOUTS[key] = (tasks, autoencoders)
         try:
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 futures = [pool.submit(_train_in_worker, key, i) for i in range(len(tasks))]

@@ -21,6 +21,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
+from repro.core.persistence import load_model, save_model
 from repro.core.streaming import StreamingDetector
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -261,11 +262,18 @@ class TestValidation:
         other = ModelConfig(window=6, matrix_days=5, critic_n=2, autoencoder=TINY_AE)
         assert config_digest(other) != config_digest(fitted.config)
 
-    def test_config_digest_ignores_worker_count(self):
-        # Training is bit-identical for every n_jobs, so a checkpoint
-        # resumes under any worker count.
-        digests = {config_digest(ModelConfig(n_jobs=n)) for n in (-1, 0, 1, 4)}
-        assert digests == {config_digest(ModelConfig())}
+    def test_config_digest_ignores_worker_count(self, tmp_path, fitted):
+        # Older builds saved a training worker count (n_jobs) that never
+        # changed a result: a model saved with any value keeps the digest
+        # its checkpoints were written under.
+        save_model(fitted, tmp_path / "model")
+        config_path = tmp_path / "model" / "config.json"
+        payload = json.loads(config_path.read_text())
+        for n_jobs in (-1, 0, 1, 4):
+            payload["config"]["n_jobs"] = n_jobs
+            config_path.write_text(json.dumps(payload))
+            loaded = load_model(tmp_path / "model")
+            assert config_digest(loaded.config) == config_digest(fitted.config)
 
     @pytest.mark.parametrize(
         "autoencoder,digest",

@@ -10,6 +10,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import config_digest
+from repro.core.critic import investigation_list
 from repro.core.detector import (
     CompoundBehaviorModel,
     ModelConfig,
@@ -20,6 +22,8 @@ from repro.core.detector import (
     make_no_group,
     make_one_day,
 )
+from repro.eval.experiments import cert_config
+from repro.eval.run import make_model
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
 from repro.nn.autoencoder import AutoencoderConfig
@@ -97,12 +101,16 @@ class TestFitAndScore:
         inv = model.investigate(TEST_DAYS)
         assert sorted(inv.users()) == sorted(cube.users)
 
-    def test_investigate_reduce_modes(self, cube, group_map):
+    def test_investigate_ranks_each_aspect_by_its_peak_score(self, cube, group_map):
         model = CompoundBehaviorModel(small_config())
         model.fit(cube, group_map, TRAIN_DAYS)
-        assert model.investigate(TEST_DAYS, reduce="mean") is not None
-        with pytest.raises(ValueError):
-            model.investigate(TEST_DAYS, reduce="median")
+        scores = model.score(TEST_DAYS)
+        peaks = {
+            aspect: {user: float(array[i].max()) for i, user in enumerate(model.users)}
+            for aspect, array in scores.items()
+        }
+        expected = investigation_list(peaks, model.config.critic_n)
+        assert model.investigate(TEST_DAYS).entries == expected.entries
 
     def test_score_before_fit_raises(self, cube):
         model = CompoundBehaviorModel(small_config())
@@ -186,3 +194,62 @@ class TestModelZoo:
     def test_ae_config_threads_through(self):
         model = make_acobe(TINY_AE)
         assert model.config.autoencoder == TINY_AE
+
+
+FACTORIES = {
+    "acobe": make_acobe,
+    "no-group": make_no_group,
+    "one-day": make_one_day,
+    "all-in-one": make_all_in_one,
+    "baseline": make_baseline,
+    "base-ff": make_base_ff,
+}
+
+#: ``config_digest`` of each zoo model with the factory's default arguments.
+DEFAULT_DIGESTS = {
+    "acobe": "b8ac57b17205e65b2fe2ceeb7057a8f38c8ed8641d6ed3fca1d7373beb8d1b04",
+    "no-group": "02389c2e35ccfbf7c9b26bbc6e11dc84c4dfae87f522a01c359d2cd1e7860e14",
+    "one-day": "60007508c3eed225de20a1eeb65843795c3301abc8aac6516956b31f10413ca6",
+    "all-in-one": "22dc688b3aea68520bb5772ab3099108a14c43f0df0f54e51794b9a59ddb86f0",
+    "baseline": "a2d4eb813d2c1166357010e96b4dd82229d7a203379a9bdc85ed61d3cf52b6d2",
+    "base-ff": "1e489bb2299f8fe89b768173fd34f802b7115e6370538de9abbb7ee93edf1a9f",
+}
+
+#: ... built from the ``small`` CERT preset; its autoencoder is already
+#: float32, so ``dtype=None`` and ``"float32"`` agree and float64 differs.
+SMALL_DIGESTS = {
+    "acobe": "8b6f061139940c63f3f0d31bda0fa0cd2e2af98a123493d3176dfa33f15d86b0",
+    "no-group": "61b531e4e81ff68e62064e8798866872a11939d76e278b03b9a8ea3909cb5869",
+    "one-day": "95d744f9fe1737a5ac8e5a0bb1e380337ad2816cadeec6cdbb8ba14d1625f041",
+    "all-in-one": "7ada6a9b15a4d398f40e63f0937f9c50d8a7f5de536d41dff92e91adcf65b8de",
+    "baseline": "f54cadc4c833f0fcd12224784a9ad741e540d93e1564b7faa26217c9b55810fc",
+    "base-ff": "f5ca7bee96d155171b971823919542e4b707da5324628ad937f1f59f86363741",
+}
+SMALL_FLOAT64_DIGESTS = {
+    "acobe": "703c660b6a9039a915fec34cb03ef8cb4402be383f6202ad54a54f443fc9d6a9",
+    "no-group": "48194427f7bb896732009631bf1600860a793c166f801470dae5713f7c85f356",
+    "one-day": "bd7d19c03d889767791235eac564c378329af858f64ae4aa117a0cf3271c1565",
+    "all-in-one": "dbaa0d0ef0e59c6e1ea096380f12256d7ddaa0b5b02ecb5cfb5861f00907815c",
+    "baseline": "3f80ef062ce7fba081e13fe917abc8a46da7a0bb8cffa2afd564255ff6dd418c",
+    "base-ff": "30dc4c5ef80805558598558f2869cde53b9045769f45c8331e10d3bce82acfb4",
+}
+
+
+class TestZooDigests:
+    """Every zoo configuration, field for field, as pinned digests."""
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_default_arguments(self, name):
+        assert config_digest(FACTORIES[name]().config) == DEFAULT_DIGESTS[name]
+
+    @pytest.mark.parametrize("dtype", [None, "float32", "float64"])
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_small_preset(self, name, dtype):
+        preset = cert_config("small")
+        kwargs = dict(ae_config=preset.autoencoder, train_stride=preset.train_stride, dtype=dtype)
+        if name in ("acobe", "no-group", "all-in-one"):
+            kwargs.update(window=preset.window, matrix_days=preset.matrix_days)
+        digest = config_digest(FACTORIES[name](**kwargs).config)
+        expected = SMALL_FLOAT64_DIGESTS if dtype == "float64" else SMALL_DIGESTS
+        assert digest == expected[name]
+        assert config_digest(make_model(name, preset, dtype=dtype).config) == digest

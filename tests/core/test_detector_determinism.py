@@ -3,7 +3,8 @@
 Reproducibility is a stated contract (the parallel engine is only
 usable because parallel == serial bit-for-bit): for a fixed seed, two
 fits must produce identical loss curves, identical scores and identical
-investigation rankings -- and ``n_jobs`` must never change any of them.
+investigation rankings -- and training the ensemble in-process or in
+forked workers must never change any of them.
 """
 
 from datetime import date, timedelta
@@ -11,11 +12,13 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import repro.nn.parallel as parallel
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
 from repro.nn.autoencoder import AutoencoderConfig
 from repro.nn.parallel import derive_seed
+from repro.obs import Telemetry, set_telemetry
 from repro.utils.timeutil import TWO_TIMEFRAMES
 
 TINY_AE = AutoencoderConfig(
@@ -52,12 +55,11 @@ def group_map(cube):
     return {u: ("g1" if i < 3 else "g2") for i, u in enumerate(cube.users)}
 
 
-def fit_model(cube, group_map, n_jobs=1, seed=1):
+def fit_model(cube, group_map, seed=1):
     config = ModelConfig(
         window=5,
         matrix_days=5,
         critic_n=2,
-        n_jobs=n_jobs,
         autoencoder=AutoencoderConfig(
             encoder_units=TINY_AE.encoder_units,
             epochs=TINY_AE.epochs,
@@ -69,6 +71,22 @@ def fit_model(cube, group_map, n_jobs=1, seed=1):
     )
     model = CompoundBehaviorModel(config)
     model.fit(cube, group_map, TRAIN_DAYS)
+    return model
+
+
+def fit_in_mode(cube, group_map, forked):
+    """``fit_model`` in-process, or forked one worker per aspect; asserts which ran."""
+    telemetry = Telemetry(enabled=True)
+    previous = set_telemetry(telemetry)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            if forked:  # this tiny fit is below the fork threshold otherwise
+                patch.setattr(parallel, "_MIN_FORK_WORK", 0)
+            model = fit_model(cube, group_map)
+    finally:
+        set_telemetry(previous)
+    mode = telemetry.find_span("parallel.train_ensemble").attributes["mode"]
+    assert mode == ("parallel" if forked else "serial")
     return model
 
 
@@ -104,23 +122,20 @@ class TestSameSeedTwoRuns:
 
 class TestParallelEqualsSerial:
     def test_identical_scores_and_rankings(self, cube, group_map):
-        serial = fit_model(cube, group_map, n_jobs=1)
-        parallel = fit_model(cube, group_map, n_jobs=2)
+        serial = fit_in_mode(cube, group_map, forked=False)
+        forked = fit_in_mode(cube, group_map, forked=True)
         s_scores = serial.score(TEST_DAYS)
-        p_scores = parallel.score(TEST_DAYS)
-        assert set(s_scores) == set(p_scores)
+        f_scores = forked.score(TEST_DAYS)
+        assert set(s_scores) == set(f_scores)
         for aspect in s_scores:
-            np.testing.assert_array_equal(s_scores[aspect], p_scores[aspect])
-        assert ranking(serial) == ranking(parallel)
+            np.testing.assert_array_equal(s_scores[aspect], f_scores[aspect])
+        assert ranking(serial) == ranking(forked)
 
     def test_identical_training_histories(self, cube, group_map):
-        serial = fit_model(cube, group_map, n_jobs=1)
-        parallel = fit_model(cube, group_map, n_jobs=2)
+        serial = fit_in_mode(cube, group_map, forked=False)
+        forked = fit_in_mode(cube, group_map, forked=True)
         for aspect in serial.aspect_names:
-            assert (
-                serial.training_history(aspect).loss
-                == parallel.training_history(aspect).loss
-            )
+            assert serial.training_history(aspect).loss == forked.training_history(aspect).loss
 
 
 class TestSeedingContract:

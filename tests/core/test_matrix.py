@@ -134,5 +134,6 @@ class TestValidation:
     def test_training_set_pools_users_and_days(self):
         dev = make_deviations()
         view = build_view(dev, dev.days[4:9], matrix_days=5)
-        train = view.training_set()
+        train = view.materialize().reshape(-1, view.dim)
         assert train.shape == (4 * 5, view.dim)
+        np.testing.assert_array_equal(view.rows(np.arange(len(view))), train)

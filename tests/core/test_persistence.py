@@ -109,9 +109,10 @@ def _edit_saved_config(directory, edit):
     "edit",
     [
         lambda config: config.update(n_shards=3),
+        lambda config: config.update(n_jobs=4),
         lambda config: config["autoencoder"].update(arena=True),
     ],
-    ids=["model-config", "autoencoder-config"],
+    ids=["model-config", "worker-count", "autoencoder-config"],
 )
 def test_load_drops_removed_config_keys(tmp_path, cube, fitted, edit):
     # Models saved by older builds carry knobs this build removed.

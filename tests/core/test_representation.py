@@ -25,6 +25,7 @@ from repro.core.deviation import DeviationConfig, compute_deviations
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
+import repro.nn.autoencoder as autoencoder_module
 from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
 from repro.nn.parallel import derive_seed
 from repro.utils.timeutil import TWO_TIMEFRAMES
@@ -194,7 +195,7 @@ class TestTrainingEquivalence:
         """Training on a MatrixView == training on its materialized array."""
         dev = make_deviations(seed=5, n_days=24)
         view = view_of(dev, dev.days[4:], 5, True, True, None)
-        dense = view.training_set()
+        dense = view.materialize().reshape(-1, view.dim)
 
         ae_view = Autoencoder(input_dim=view.dim, config=TINY_AE)
         hist_view = ae_view.fit(view)
@@ -214,7 +215,7 @@ class TestTrainingEquivalence:
         """The held-out split must select the same rows either way."""
         dev = make_deviations(seed=9, n_days=24)
         view = view_of(dev, dev.days[4:], 5, True, True, None)
-        dense = view.training_set()
+        dense = view.materialize().reshape(-1, view.dim)
         cfg = replace(TINY_AE, validation_split=0.25, epochs=3)
 
         hist_view = Autoencoder(input_dim=view.dim, config=cfg).fit(view)
@@ -222,16 +223,15 @@ class TestTrainingEquivalence:
         assert hist_view.loss == hist_dense.loss
         assert hist_view.val_loss == hist_dense.val_loss
 
-    def test_scoring_chunks_match_dense_predict(self):
+    def test_scoring_chunks_match_dense_predict(self, monkeypatch):
         dev = make_deviations(seed=11, n_days=24)
         view = view_of(dev, dev.days[4:], 5, True, True, None)
         ae = Autoencoder(input_dim=view.dim, config=TINY_AE)
         ae.fit(view)
-        dense = view.training_set()
-        np.testing.assert_array_equal(
-            ae.reconstruction_error(view, batch_size=13),
-            ae.reconstruction_error(dense),
-        )
+        dense = view.materialize().reshape(-1, view.dim)
+        expected = ae.reconstruction_error(dense)
+        monkeypatch.setattr(autoencoder_module, "SCORE_BATCH", 13)
+        np.testing.assert_array_equal(ae.reconstruction_error(view), expected)
 
 
 class TestModelEquivalence:
@@ -286,12 +286,14 @@ class TestModelEquivalence:
             )
             np.testing.assert_array_equal(scores[aspect.name], expected)
 
-    def test_investigation_stable_across_batch_sizes(self, setup):
+    def test_investigation_stable_across_batch_sizes(self, setup, monkeypatch):
+        # The scoring chunk size bounds memory only: errors are per-row.
         cube, group_map, config, model = setup
         test_anchors = model.valid_anchor_days(cube.days[22:])
         baseline = model.investigate(test_anchors)
         for batch_size in (1, 7, 4096):
-            other = model.investigate(test_anchors, batch_size=batch_size)
+            monkeypatch.setattr(autoencoder_module, "SCORE_BATCH", batch_size)
+            other = model.investigate(test_anchors)
             assert [(e.user, e.priority) for e in other.entries] == [
                 (e.user, e.priority) for e in baseline.entries
             ]

@@ -4,7 +4,7 @@ Two contracts pinned here:
 
 * **Zero numerical impact.**  For the same seed, fitting and scoring
   with telemetry enabled (including memory tracing) is bit-identical to
-  fitting with it disabled, serially and with ``n_jobs > 1``.
+  fitting with it disabled, in-process and with forked ensemble workers.
 * **Worker merge equals serial.**  The counters that workers ship back
   from parallel ensemble training (``nn.*``, ``train.*``) sum to
   exactly the values a serial run records, so the merged picture is a
@@ -16,6 +16,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import repro.nn.parallel as parallel
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
@@ -48,31 +49,41 @@ def group_map(cube):
     return {u: ("g1" if i < 3 else "g2") for i, u in enumerate(cube.users)}
 
 
-def run_pipeline(cube, group_map, telemetry, n_jobs=1):
-    """Fit + score + investigate under ``telemetry``; restore the global after."""
+def run_pipeline(cube, group_map, telemetry, forked=False):
+    """Fit + score + investigate under ``telemetry``; restore the global after.
+
+    ``forked`` trains the ensemble in one forked worker per aspect; this
+    tiny fit is below the fork threshold and trains in-process otherwise.
+    """
+    config = ModelConfig(
+        window=5,
+        matrix_days=5,
+        critic_n=2,
+        autoencoder=AutoencoderConfig(
+            encoder_units=(8, 4),
+            epochs=4,
+            batch_size=16,
+            early_stopping_patience=None,
+            validation_split=0.0,
+            seed=1,
+        ),
+    )
     previous = set_telemetry(telemetry)
     try:
-        config = ModelConfig(
-            window=5,
-            matrix_days=5,
-            critic_n=2,
-            n_jobs=n_jobs,
-            autoencoder=AutoencoderConfig(
-                encoder_units=(8, 4),
-                epochs=4,
-                batch_size=16,
-                early_stopping_patience=None,
-                validation_split=0.0,
-                seed=1,
-            ),
-        )
-        model = CompoundBehaviorModel(config)
-        model.fit(cube, group_map, TRAIN_DAYS)
+        with pytest.MonkeyPatch.context() as patch:
+            if forked:
+                patch.setattr(parallel, "_MIN_FORK_WORK", 0)
+            model = CompoundBehaviorModel(config)
+            model.fit(cube, group_map, TRAIN_DAYS)
         scores = model.score(TEST_DAYS)
         ranking = [e.user for e in model.investigate(TEST_DAYS).entries]
     finally:
         set_telemetry(previous)
     return model, scores, ranking
+
+
+def ensemble_mode(telemetry):
+    return telemetry.find_span("parallel.train_ensemble").attributes["mode"]
 
 
 def assert_identical(run_a, run_b):
@@ -89,10 +100,12 @@ def assert_identical(run_a, run_b):
 
 
 class TestZeroNumericalImpact:
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_enabled_vs_disabled_bit_identical(self, cube, group_map, n_jobs):
-        off = run_pipeline(cube, group_map, Telemetry(enabled=False), n_jobs=n_jobs)
-        on = run_pipeline(cube, group_map, Telemetry(enabled=True), n_jobs=n_jobs)
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_enabled_vs_disabled_bit_identical(self, cube, group_map, forked):
+        off = run_pipeline(cube, group_map, Telemetry(enabled=False), forked=forked)
+        telemetry = Telemetry(enabled=True)
+        on = run_pipeline(cube, group_map, telemetry, forked=forked)
+        assert ensemble_mode(telemetry) == ("parallel" if forked else "serial")
         assert_identical(off, on)
 
     def test_memory_tracing_bit_identical(self, cube, group_map):
@@ -147,12 +160,13 @@ class TestWorkerMergeEqualsSerial:
 
     def test_merged_worker_counters_equal_serial(self, cube, group_map):
         serial = Telemetry(enabled=True)
-        run_pipeline(cube, group_map, serial, n_jobs=1)
-        parallel = Telemetry(enabled=True)
-        run_pipeline(cube, group_map, parallel, n_jobs=2)
+        run_pipeline(cube, group_map, serial)
+        forked = Telemetry(enabled=True)
+        run_pipeline(cube, group_map, forked, forked=True)
+        assert (ensemble_mode(serial), ensemble_mode(forked)) == ("serial", "parallel")
 
         serial_shared = self.shared(serial.metrics.snapshot())
-        parallel_shared = self.shared(parallel.metrics.snapshot())
+        parallel_shared = self.shared(forked.metrics.snapshot())
         assert serial_shared["counters"] == parallel_shared["counters"]
         assert serial_shared["counters"]["nn.epochs_total"] == 12
         # Histogram series may interleave across workers; the multiset
@@ -163,13 +177,10 @@ class TestWorkerMergeEqualsSerial:
 
     def test_worker_span_trees_attach_under_ensemble_span(self, cube, group_map):
         telemetry = Telemetry(enabled=True)
-        run_pipeline(cube, group_map, telemetry, n_jobs=2)
+        run_pipeline(cube, group_map, telemetry, forked=True)
         ensemble = telemetry.find_span("parallel.train_ensemble")
-        assert ensemble is not None
+        assert ensemble.attributes["mode"] == "parallel"
         aspect_spans = [s for s in ensemble.walk() if s.name == "train.aspect"]
-        if ensemble.attributes.get("mode") == "parallel":
-            assert {s.attributes["aspect"] for s in aspect_spans} == {"a", "b", "c"}
-            merged = telemetry.metrics.snapshot()["counters"]
-            assert merged["parallel.snapshots_merged"] == 3  # one per task
-        else:  # serial fallback on sandboxed platforms: still 3 aspect spans
-            assert len(aspect_spans) == 3
+        assert {s.attributes["aspect"] for s in aspect_spans} == {"a", "b", "c"}
+        merged = telemetry.metrics.snapshot()["counters"]
+        assert merged["parallel.snapshots_merged"] == 3  # one per task

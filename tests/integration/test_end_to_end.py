@@ -69,7 +69,7 @@ class TestBaselineComparison:
         """
         b = small_benchmark
         baseline = make_baseline(ae_config=b.config.autoencoder, train_stride=b.config.train_stride)
-        baseline_run = run_model(baseline, b, cube=b.coarse_cube())
+        baseline_run = run_model(baseline, b)  # fits the coarse cube
         metrics = evaluate_run(baseline_run, b.labels)
         assert 0.0 <= metrics.auc <= 1.0
         assert len(baseline_run.investigation.users()) == len(b.cube.users)

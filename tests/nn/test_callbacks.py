@@ -1,8 +1,7 @@
 """Per-epoch observability of ``Sequential.fit``.
 
-What a fit shows while it trains: the ``verbose`` epoch line, the
-returned history, and the ``nn.fit`` span and counters.  None of it
-changes the trained weights.
+What a fit shows while it trains: the returned history and the
+``nn.fit`` span and counters.  None of it changes the trained weights.
 """
 
 import numpy as np
@@ -20,47 +19,22 @@ def make_net(seed=3):
 
 
 class TestFitCallbacks:
-    def test_val_loss_none_without_split(self, capsys):
-        history = make_net().fit(X, epochs=1, verbose=True)
+    def test_val_loss_none_without_split(self):
+        history = make_net().fit(X, epochs=1)
         assert history.val_loss == []
         assert history.best_val_loss is None
-        assert "val_loss" not in capsys.readouterr().out
 
-    def test_early_stopping_reports_actual_epochs(self, capsys):
+    def test_early_stopping_reports_actual_epochs(self):
         history = make_net().fit(
-            X, epochs=50, batch_size=8, validation_split=0.25,
-            early_stopping_patience=1, verbose=True,
+            X, epochs=50, batch_size=8, validation_split=0.25, early_stopping_patience=1
         )
         assert history.epochs_trained < 50
         assert len(history.val_loss) == len(history.grad_norm) == history.epochs_trained
-        assert len(capsys.readouterr().out.splitlines()) == history.epochs_trained
-
-    def test_verbose_does_not_change_training(self):
-        plain = make_net().fit(X, epochs=4, batch_size=8)
-        printed = make_net().fit(X, epochs=4, batch_size=8, verbose=True)
-        assert plain.loss == printed.loss
-        assert plain.grad_norm == printed.grad_norm
-        assert all(g > 0.0 for g in plain.grad_norm)
 
 
 class TestEpochLogger:
-    def test_verbose_prints_one_line_per_epoch(self, capsys):
-        history = make_net().fit(
-            X, epochs=2, batch_size=8, validation_split=0.25, verbose=True
-        )
-        assert capsys.readouterr().out.splitlines() == [
-            f"epoch {i + 1}/2 loss={loss:.6f} val_loss={val:.6f}"
-            for i, (loss, val) in enumerate(zip(history.loss, history.val_loss))
-        ]
-
-    def test_verbose_flag_prints_via_default_sink(self, capsys):
-        make_net().fit(X, epochs=2, batch_size=8, verbose=True)
-        out = capsys.readouterr().out
-        assert "epoch 1/2 loss=" in out
-        assert "epoch 2/2 loss=" in out
-        assert "val_loss" not in out  # no validation split configured
-
     def test_no_output_without_verbose(self, capsys):
+        # A fit prints nothing; its history and the run report carry the losses.
         make_net().fit(X, epochs=2, batch_size=8)
         assert capsys.readouterr().out == ""
 

@@ -125,6 +125,16 @@ class TestFit:
         with pytest.raises(ValueError):
             net.fit(np.zeros((4, 2)), validation_split=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [({"batch_size": 0}, "batch_size"), ({"epochs": 0}, "epochs"), ({"epochs": -1}, "epochs")],
+    )
+    def test_rejects_nonpositive_loop_settings(self, kwargs, name):
+        net = Sequential([Dense(2)])
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            net.fit(np.zeros((4, 2)), **kwargs)
+        assert not net.built  # rejected before anything was drawn or trained
+
     def test_validation_split_rounding_can_empty_training_set(self):
         """round(4 * 0.9) == 4 holds out every row; must fail loudly."""
         net = Sequential([Dense(2)], seed=0)

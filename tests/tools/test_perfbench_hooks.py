@@ -58,7 +58,7 @@ def tiny_config(epochs=1):
         validation_split=0.0,
         seed=1,
     )
-    return ModelConfig(window=4, matrix_days=4, critic_n=2, n_jobs=1, autoencoder=ae)
+    return ModelConfig(window=4, matrix_days=4, critic_n=2, autoencoder=ae)
 
 
 @pytest.fixture(scope="module")
