@@ -103,9 +103,7 @@ class DailyResult:
     Both are observational -- scores and rankings never depend on them.
     ``imputed_values`` counts measurement cells repaired by the
     ``impute-group-mean`` policy before this day was scored (0 on a
-    clean day).  ``alerts`` carries any ``acobe.alert`` records an
-    attached drift monitor raised for this day (empty without a
-    monitor, and almost always empty with one).
+    clean day).
     """
 
     day: date
@@ -114,7 +112,6 @@ class DailyResult:
     latency_seconds: float = 0.0
     score_summary: Dict[str, ScoreSummary] = field(default_factory=dict)
     imputed_values: int = 0
-    alerts: List[dict] = field(default_factory=list)
 
     def rank_of(self, user: str) -> int:
         return self.investigation.position_of(user)
@@ -219,31 +216,6 @@ class StreamingDetector:
         self.days_quarantined = 0
         self.days_imputed = 0
         self.values_imputed = 0
-        # Monitoring-plane attachments; both optional, both observational.
-        self._exporter = None
-        self._drift_monitor = None
-
-    # ------------------------------------------------------------------
-    # Monitoring-plane attachments
-    # ------------------------------------------------------------------
-    def attach_exporter(self, exporter) -> None:
-        """Tick a :class:`repro.obs.export.MetricsExporter` once per day.
-
-        Every :meth:`observe_day` call (warm-up, quarantined or scored)
-        counts as one tick; each flush carries :meth:`durable_counters`
-        so the exported totals survive kill-and-resume.
-        """
-        self._exporter = exporter
-
-    def attach_drift_monitor(self, monitor) -> None:
-        """Feed each scored day's per-aspect scores to a drift monitor.
-
-        ``monitor`` is typically a
-        :class:`repro.obs.drift.ScoreDriftMonitor`; alerts it raises
-        surface on :attr:`DailyResult.alerts`.  The monitor observes
-        copies and never feeds back into scoring.
-        """
-        self._drift_monitor = monitor
 
     def durable_counters(self) -> Dict[str, int]:
         """Checkpoint-backed lifetime totals (survive process restarts).
@@ -260,10 +232,6 @@ class StreamingDetector:
             "stream.days_imputed": self.days_imputed,
             "stream.values_imputed": self.values_imputed,
         }
-
-    def _export_tick(self, telemetry) -> None:
-        if self._exporter is not None:
-            self._exporter.tick(telemetry, self.durable_counters())
 
     # ------------------------------------------------------------------
     @property
@@ -361,7 +329,6 @@ class StreamingDetector:
             telemetry.log_event(
                 "stream.day_buffered", day=str(day), wall_seconds=round(elapsed, 6)
             )
-            self._export_tick(telemetry)
             return None
         with telemetry.span("streaming.observe_day", day=str(day)) as span:
             result = self._emit(day)
@@ -374,10 +341,6 @@ class StreamingDetector:
         for aspect, summary in result.score_summary.items():
             telemetry.histogram(f"streaming.score_median.{aspect}").observe(summary.median)
             telemetry.histogram(f"streaming.score_max.{aspect}").observe(summary.max)
-        if self._drift_monitor is not None:
-            result.alerts = self._drift_monitor.observe(
-                day, {aspect: arr.tolist() for aspect, arr in result.scores.items()}
-            )
         telemetry.log_event(
             "stream.day_scored",
             day=str(day),
@@ -386,9 +349,7 @@ class StreamingDetector:
             top_user=result.investigation.entries[0].user
             if result.investigation.entries
             else None,
-            alerts=len(result.alerts),
         )
-        self._export_tick(telemetry)
         return result
 
     # ------------------------------------------------------------------
@@ -448,7 +409,6 @@ class StreamingDetector:
             n_bad_values=n_bad,
             policy=self.on_bad_day,
         )
-        self._export_tick(telemetry)
         return DegradedDayResult(
             day=day,
             policy=self.on_bad_day,

@@ -9,10 +9,20 @@ investigation list goes out.  :func:`run` is that loop, once:
   :class:`DaySource` feeds sealed day slabs (checkpoints under
   ``<dir>/stream``); :class:`EventSource` feeds raw deliveries through an
   :class:`~repro.ingest.Ingestor` (checkpoints under ``<dir>/ingest``).
-* the **driver** owns the rest: option checks, telemetry and monitoring,
-  build-or-resume, the checkpoint cadence, the stop-after cut, the
-  failure path, teardown, and the sinks (per-day lines, summary table,
-  ``--out`` document, span tree, run report).
+* the **driver** owns the rest: option checks, telemetry, build-or-resume,
+  the observers, the checkpoint cadence, the stop-after cut, the failure
+  path, teardown, and the sinks (per-day lines, summary table, ``--out``
+  document, span tree, run report).
+
+The observers (``--metrics-export``, ``--drift-monitor``) run here and
+nowhere else, after each consumed step -- one day for a
+:class:`DaySource`, one delivery for an :class:`EventSource` -- and
+before that step's checkpoint save: the :class:`ScoreDriftMonitor` reads
+every scored day, the :class:`IngestQualityMonitor` (event sources only)
+reads the lifetime delivery counters when the step sealed a day, then
+the :class:`MetricsExporter` ticks.  The days a final ``finish`` seals
+get the drift and quality checks but no tick.  The detector and the
+ingestor hold no observers, so no observer can change a score.
 
 Callers need no argparse: ``run(DaySource(cert_config("small")),
 RunOptions(checkpoint_dir="ckpt", out="days.json"))``.  Every source,
@@ -179,9 +189,10 @@ class Source:
     ``config`` names the run and configures the model; :meth:`load`
     builds the ``feed`` unless one was given (by default, the preset's
     simulation); ``start``/``resume`` set ``detector`` and ``monitored``,
-    the object the metrics exporter ticks on.  A source implements
-    ``resume``, ``pending``/``advance`` (the steps the stop-after cut
-    counts), ``save``, ``stop_message``, ``summary`` and ``report_meta``.
+    the object whose ``durable_counters`` the metrics exports carry.  A
+    source implements ``resume``, ``pending``/``advance`` (the steps the
+    stop-after cut counts), ``save``, ``stop_message``, ``summary`` and
+    ``report_meta``.
     """
 
     name = ""  # checkpoint subdirectory, run-report prefix
@@ -202,14 +213,9 @@ class Source:
     def start(self, detector: StreamingDetector) -> None:
         self.detector = self.monitored = detector
 
-    def attach(self, exporter, drift) -> None:
-        if exporter is not None:
-            self.monitored.attach_exporter(exporter)
-        if drift is not None:
-            self.detector.attach_drift_monitor(drift)
-
-    def alerts(self) -> List[dict]:
-        return []
+    def delivery_counters(self) -> Optional[Dict[str, int]]:
+        """The lifetime counters an ingest-quality check reads; None without deliveries."""
+        return None
 
     def finish(self) -> list:
         return []
@@ -314,13 +320,12 @@ class EventSource(Source):
               f"({self.ingestor.days_sealed} days sealed, "
               f"{self.ingestor.events_pushed:,} deliveries consumed so far)")
 
-    def attach(self, exporter, drift) -> None:
-        super().attach(exporter, drift)
-        if drift is not None:
-            self.ingestor.attach_quality_monitor(IngestQualityMonitor())
-
-    def alerts(self) -> List[dict]:
-        return list(self.ingestor.alerts)
+    def delivery_counters(self) -> Dict[str, int]:
+        ingestor = self.ingestor
+        return {"events_pushed": ingestor.events_pushed, "events_late": ingestor.events_late,
+                "events_duplicate": ingestor.events_duplicate,
+                "days_sealed": ingestor.days_sealed,
+                "days_quarantined": self.detector.days_quarantined}
 
     def pending(self) -> Iterable:
         records = arrival_order(self.feed.store)
@@ -412,7 +417,7 @@ def run(source: Source, options: RunOptions) -> int:
         bool(options.trace or options.metrics_out or options.metrics_export or options.log),
         options.log,
     )
-    exporter = drift = None
+    exporter = drift = quality = None
     emitted: list = []
     consumed = 0
     failed = False
@@ -454,36 +459,49 @@ def run(source: Source, options: RunOptions) -> int:
             exporter = MetricsExporter(options.metrics_export, every=options.export_every)
         if options.drift_monitor:
             drift = ScoreDriftMonitor()
-        source.attach(exporter, drift)
+            if source.delivery_counters() is not None:
+                quality = IngestQualityMonitor()
+        # Days the detector advanced (scored, warming up or quarantined);
+        # an event-source step that moved it sealed a day.
+        observed = source.detector.days_observed
 
-        def emit(results) -> None:
+        def observe(results) -> None:
+            """Keep and print one step's results, then check drift and ingest quality."""
+            nonlocal observed
             for result in results:
                 emitted.append(result)
                 if isinstance(result, DailyResult):
                     top = [e.user for e in result.investigation.entries[:3]]
                     print(f"  {result.day}  top: {', '.join(top)}")
+                    if drift is not None:
+                        drift.observe(result.day, {aspect: scores.tolist()
+                                                   for aspect, scores in result.scores.items()})
                 else:
                     print(f"  {result.day}  QUARANTINED ({result.reason}: "
                           f"{result.n_bad_values} bad value(s))")
+            days = source.detector.days_observed
+            if quality is not None and days != observed:
+                quality.observe(source.detector.last_day, **source.delivery_counters())
+            observed = days
 
-        # The cadence counts days the detector advanced (scored, warming
-        # up or quarantined) since the last save; the final save happens
-        # when anything moved since then.
-        saved_days, unsaved_steps = source.detector.days_observed, 0
+        # The cadence counts days the detector advanced since the last
+        # save; the final save happens when anything moved since then.
+        saved_days, unsaved_steps = observed, 0
         try:
             for step in source.pending():
                 if options.stop_after is not None and consumed >= options.stop_after:
                     print(source.stop_message(consumed))
                     break
-                emit(source.advance(step))
+                observe(source.advance(step))
+                if exporter is not None:  # the dict is built only when a flush is due
+                    exporter.tick(telemetry, source.monitored.durable_counters)
                 consumed += 1
                 unsaved_steps += 1
-                advanced = source.detector.days_observed
-                if state_dir is not None and advanced - saved_days >= options.checkpoint_every:
+                if state_dir is not None and observed - saved_days >= options.checkpoint_every:
                     source.save(state_dir, binding)
-                    saved_days, unsaved_steps = advanced, 0
+                    saved_days, unsaved_steps = observed, 0
             else:
-                emit(source.finish())
+                observe(source.finish())
         except source.failures as exc:
             failed = True
             _error(str(exc), 1)
@@ -491,7 +509,7 @@ def run(source: Source, options: RunOptions) -> int:
                 source.save(state_dir, binding)
                 print(f"saved checkpoint to {state_dir}", file=sys.stderr)
         else:
-            moved = unsaved_steps or source.detector.days_observed != saved_days
+            moved = unsaved_steps or observed != saved_days
             if state_dir is not None and moved:
                 source.save(state_dir, binding)
     finally:
@@ -503,7 +521,8 @@ def run(source: Source, options: RunOptions) -> int:
     scored = [r for r in emitted if isinstance(r, DailyResult)]
     if not failed:
         print(source.summary(consumed, len(scored)))
-    alerts = (list(drift.alerts) if drift is not None else []) + source.alerts()
+    alerts = [alert for monitor in (drift, quality) if monitor is not None
+              for alert in monitor.alerts]
     for alert in alerts:
         print(f"  ALERT [{alert['severity']}] {alert['message']}")
     if failed:

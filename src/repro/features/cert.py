@@ -98,9 +98,6 @@ CERT_ASPECTS: Tuple[AspectSpec, ...] = (DEVICE_ASPECT, FILE_ASPECT, HTTP_ASPECT)
 #: Upload file types with a dedicated ``http-upload-*`` feature.
 UPLOAD_FILETYPES = ("doc", "exe", "jpg", "pdf", "txt", "zip")
 
-# Backwards-compatible alias (pre-ingest name).
-_UPLOAD_TYPES = UPLOAD_FILETYPES
-
 
 def _direction_feature(
     activity: str, from_location: Optional[str], to_location: Optional[str]

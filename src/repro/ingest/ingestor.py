@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -247,32 +247,6 @@ class Ingestor:
         #: torn (the builder sealed the day, the cursor did not move) and
         #: every later push, flush or export raises (:meth:`_raise_closed`).
         self._failure: Optional[Tuple[date, BaseException]] = None
-        # Monitoring-plane attachments; both optional, both observational.
-        self._exporter = None
-        self._quality_monitor = None
-        self.alerts: List[dict] = []
-
-    # ------------------------------------------------------------------
-    # monitoring-plane attachments
-    # ------------------------------------------------------------------
-
-    def attach_exporter(self, exporter) -> None:
-        """Tick a :class:`repro.obs.export.MetricsExporter` per delivery.
-
-        Every consumed delivery (on-time, duplicate or late-but-absorbed)
-        counts as one tick; each flush carries :meth:`durable_counters`
-        so exported totals survive kill-and-resume.
-        """
-        self._exporter = exporter
-
-    def attach_quality_monitor(self, monitor) -> None:
-        """Check an :class:`repro.obs.drift.IngestQualityMonitor` per seal.
-
-        After every sealed day the monitor sees the lifetime
-        late/duplicate/quarantine counters; alerts it raises accumulate
-        on :attr:`alerts` (and in the monitor's own ``alerts`` list).
-        """
-        self._quality_monitor = monitor
 
     def durable_counters(self) -> Dict[str, int]:
         """Checkpoint-backed lifetime totals (survive process restarts).
@@ -291,29 +265,6 @@ class Ingestor:
         if self._detector is not None:
             counters.update(self._detector.durable_counters())
         return counters
-
-    def _export_tick(self, telemetry) -> None:
-        if self._exporter is not None:
-            # Passed uncalled: the exporter builds the dict only when a
-            # flush comes due, not on every delivery.
-            self._exporter.tick(telemetry, self.durable_counters)
-
-    def _quality_check(self, day: date, telemetry) -> None:
-        if self._quality_monitor is None:
-            return
-        days_quarantined = (
-            self._detector.days_quarantined if self._detector is not None else 0
-        )
-        self.alerts.extend(
-            self._quality_monitor.observe(
-                day,
-                events_pushed=self.events_pushed,
-                events_late=self.events_late,
-                events_duplicate=self.events_duplicate,
-                days_sealed=self.days_sealed,
-                days_quarantined=days_quarantined,
-            )
-        )
 
     @property
     def detector(self) -> Optional[StreamingDetector]:
@@ -415,7 +366,6 @@ class Ingestor:
             self.events_duplicate += 1
             telemetry.counter("ingest.events").inc()
             telemetry.counter("ingest.events_duplicate").inc()
-            self._export_tick(telemetry)
             return []
 
         results: List[IngestResult] = []
@@ -431,7 +381,6 @@ class Ingestor:
             # an advancing delivery or flush() triggers).
             telemetry.gauge("ingest.open_days").set(self.open_day_span)
             self._open_days_published_to = telemetry
-        self._export_tick(telemetry)
         return results
 
     def flush(self, until: Optional[date] = None) -> List[IngestResult]:
@@ -485,7 +434,6 @@ class Ingestor:
         )
         if self.config.late_policy == "quarantine-file":
             self._quarantine(event)
-        self._export_tick(telemetry)
         return []
 
     def _quarantine(self, event: Event) -> None:
@@ -538,7 +486,6 @@ class Ingestor:
                 n_records=n_records,
                 scored=isinstance(result, DailyResult),
             )
-            self._quality_check(day, telemetry)
             if result is not None:  # detector warm-up days emit nothing
                 results.append(result)
             day += _ONE_DAY

@@ -23,8 +23,8 @@ invisible in the scores of any single day -- they are properties of the
 
 Both are strictly observational: they read copies of emitted scores and
 counter values, never mutate them, and nothing they compute feeds back
-into detection -- runs with and without monitors attached are
-bit-identical (pinned by the streaming test suite).
+into detection -- runs with and without monitors are bit-identical
+(pinned by ``tests/eval/test_run_driver.py``).
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ class ScoreDriftMonitor:
 
     Feed it every scored day via :meth:`observe`; it returns the alerts
     that day raised (usually none) and accumulates everything in
-    :attr:`alerts` for the run report.  Attach to a stream with
-    :meth:`repro.core.streaming.StreamingDetector.attach_drift_monitor`.
+    :attr:`alerts` for the run report.  ``--drift-monitor`` has the run
+    driver (:func:`repro.eval.run.run`) feed it every scored day.
     """
 
     def __init__(self, config: Optional[DriftConfig] = None):

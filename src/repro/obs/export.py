@@ -21,10 +21,12 @@ section of the final export equals the uninterrupted run's exactly --
 that is the monitoring contract ``docs/OBSERVABILITY.md`` documents and
 the test suite pins.
 
-Wire-up: :meth:`repro.core.streaming.StreamingDetector.attach_exporter`
-ticks once per observed day, :meth:`repro.ingest.Ingestor.attach_exporter`
-once per consumed delivery; ``--metrics-export DIR --export-every N``
-on ``repro stream`` / ``repro ingest`` does both.
+Wire-up: ``--metrics-export DIR --export-every N`` on ``repro stream``
+/ ``repro ingest`` hands an exporter to the run driver
+(:func:`repro.eval.run.run`), which ticks it once per consumed step --
+one observed day, or one consumed delivery -- with the source's
+``durable_counters`` (passed uncalled), and flushes once more at
+teardown.
 """
 
 from __future__ import annotations
@@ -122,16 +124,16 @@ class MetricsExporter:
         directory: destination directory; ``metrics.prom`` (latest
             snapshot, atomically replaced) and ``metrics.jsonl`` (one
             line appended per flush) are created inside it.
-        every: flush cadence in ticks.  The streaming detector ticks
-            once per observed day, the ingestor once per consumed
-            delivery, so ``every`` means "days" or "deliveries"
-            depending on who drives the exporter.
+        every: flush cadence in ticks.  The run driver ticks once per
+            observed day of ``repro stream`` and once per consumed
+            delivery of ``repro ingest``, so ``every`` means "days" or
+            "deliveries" depending on the source.
         prefix: Prometheus series-name prefix (default ``acobe``).
 
     The exporter is observational by construction: it reads metric
     snapshots and the caller-provided durable counters, and never feeds
     anything back -- detector outputs are bit-identical with or without
-    one attached.
+    one.
     """
 
     def __init__(

@@ -17,7 +17,7 @@ from repro.ingest import (
     WatermarkClock,
 )
 from repro.logs.schema import DeviceEvent
-from repro.obs import MetricsExporter, Telemetry, set_telemetry
+from repro.obs import Telemetry, set_telemetry
 from repro.utils.timeutil import WORKING_HOURS
 
 USERS = ["u0", "u1"]
@@ -271,49 +271,6 @@ class TestBufferedRecords:
         restored.flush()
         self.assert_running_count(restored)
         assert restored.builder.buffered_records == 0
-
-
-class TestExporterTicks:
-    @staticmethod
-    def run(tmp_path, every):
-        """Push a fixed stream with an exporter attached; count dict builds."""
-        telemetry = Telemetry(enabled=True)
-        set_telemetry(telemetry)
-        try:
-            ingestor = make_ingestor(allowed_lateness_days=1)
-            exporter = MetricsExporter(tmp_path / f"every{every}", every=every)
-            ingestor.attach_exporter(exporter)
-            built = []
-            durable_counters = ingestor.durable_counters
-
-            def counting():
-                built.append(exporter.ticks)
-                return durable_counters()
-
-            ingestor.durable_counters = counting
-            for i in range(230):
-                day = (i // 20) - (i % 3 == 0 and i >= 20)  # some one-day-late arrivals
-                fingerprint = f"r{i - 1}" if i % 11 == 0 and i else f"r{i}"  # redeliveries
-                ingestor.push(connect(day, host=f"H{i % 7}"), fingerprint)
-            lines = [json.loads(line) for line in exporter.jsonl_path.read_text().splitlines()]
-            return built, lines
-        finally:
-            set_telemetry(Telemetry(enabled=False))
-
-    def test_durable_dict_built_once_per_flush(self, tmp_path):
-        built, lines = self.run(tmp_path, every=50)
-        assert len(lines) == 4
-        assert built == [50, 100, 150, 200]
-
-    def test_exports_equal_per_tick_exports_at_the_same_ticks(self, tmp_path):
-        _, sparse = self.run(tmp_path, every=50)
-        built, dense = self.run(tmp_path, every=1)
-        assert len(built) == len(dense) == 230
-        for line, reference in zip(sparse, dense[49::50]):
-            assert line["counters"] == reference["counters"]
-            assert line["durable"] == reference["durable"]
-            assert line["gauges"] == reference["gauges"]
-        assert sparse[-1]["durable"]["ingest.events_duplicate"] > 0
 
 
 class TestTelemetry:

@@ -6,6 +6,8 @@ single-day Baseline.  They are slow (a minute or so on one core) and
 marked accordingly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,15 @@ class TestAcobeDetection:
         assert sorted(acobe_run.investigation.users()) == small_benchmark.cube.users
 
 
+def case_study_autoencoder(config):
+    """The case-study recipe: a 64/32/16 encoder trained for 40 epochs.
+
+    Enough to exercise the coarse and single-day models end to end at a
+    fraction of the preset's 128/64/32/16, 100-epoch training.
+    """
+    return replace(config.autoencoder, encoder_units=(64, 32, 16), epochs=40)
+
+
 class TestBaselineComparison:
     def test_baseline_pipeline_runs_end_to_end(self, small_benchmark):
         """The Liu-et-al. Baseline runs on its coarse 24-frame features.
@@ -68,7 +79,8 @@ class TestBaselineComparison:
         benchmarks/test_fig6_roc_pr.py at default scale.
         """
         b = small_benchmark
-        baseline = make_baseline(ae_config=b.config.autoencoder, train_stride=b.config.train_stride)
+        baseline = make_baseline(ae_config=case_study_autoencoder(b.config),
+                                 train_stride=b.config.train_stride)
         baseline_run = run_model(baseline, b)  # fits the coarse cube
         metrics = evaluate_run(baseline_run, b.labels)
         assert 0.0 <= metrics.auc <= 1.0
@@ -79,7 +91,8 @@ class TestBaselineComparison:
         """Figure 5(c): single-day reconstruction shows weekday/weekend
         waves for everyone rather than isolating the insider."""
         b = small_benchmark
-        model = make_one_day(ae_config=b.config.autoencoder, train_stride=b.config.train_stride)
+        model = make_one_day(ae_config=case_study_autoencoder(b.config),
+                             train_stride=b.config.train_stride)
         run = run_model(model, b)
         scores = run.scores["http"]
         weekday = [j for j, d in enumerate(run.test_days) if d.weekday() < 5]

@@ -153,39 +153,3 @@ class TestIngestQualityMonitor:
             IngestQualityConfig(late_rate_threshold=0.0)
         with pytest.raises(ValueError, match="quarantine_rate_threshold"):
             IngestQualityConfig(quarantine_rate_threshold=1.5)
-
-
-class TestIngestorWiring:
-    def test_quality_monitor_sees_lifetime_counters(self):
-        """A degraded feed raises an ingest-quality alert through push()."""
-        from datetime import date, datetime, timedelta
-
-        from repro.ingest import IngestConfig, Ingestor, SlabBuilder
-        from repro.logs.schema import DeviceEvent
-
-        users = ["u0", "u1"]
-        day0 = date(2010, 1, 1)
-
-        def connect(day_offset, n=0):
-            day = day0 + timedelta(days=day_offset)
-            ts = datetime(day.year, day.month, day.day, 9, n % 60)
-            return DeviceEvent(ts, users[n % 2], "connect", f"H{n}")
-
-        ingestor = Ingestor(
-            SlabBuilder(users),
-            config=IngestConfig(allowed_lateness_days=0, start_day=day0),
-        )
-        monitor = IngestQualityMonitor(
-            IngestQualityConfig(min_events=10, min_days=1, late_rate_threshold=0.2)
-        )
-        ingestor.attach_quality_monitor(monitor)
-        # 12 on-time deliveries over two days, then a burst of late ones.
-        for n in range(6):
-            ingestor.push(connect(0, n=n), f"a{n}")
-        for n in range(6):
-            ingestor.push(connect(1, n=n), f"b{n}")
-        for n in range(8):
-            ingestor.push(connect(0, n=n), f"late{n}")  # day 0 sealed already
-        ingestor.flush()
-        assert [a["metric"] for a in ingestor.alerts] == ["late-rate"]
-        validate_alert(ingestor.alerts[0])

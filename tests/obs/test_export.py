@@ -1,9 +1,7 @@
 """Metric exporters: Prometheus rendering, JSONL flushes, durable counters."""
 
 import json
-from datetime import date, timedelta
 
-import numpy as np
 import pytest
 
 from repro.obs import MetricsExporter, Telemetry, render_prometheus
@@ -93,111 +91,3 @@ class TestMetricsExporter:
         assert value_lines == ["acobe_c 2"]
         # No leftover temp files from the atomic replace.
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".metrics-")] == []
-
-
-@pytest.fixture(scope="module")
-def stream_parts():
-    """A tiny fitted model + cube, enough for a full streaming run."""
-    from repro.core.detector import CompoundBehaviorModel, ModelConfig
-    from repro.features.measurements import MeasurementCube
-    from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
-    from repro.nn.autoencoder import AutoencoderConfig
-    from repro.utils.timeutil import TWO_TIMEFRAMES
-
-    fs = FeatureSet(
-        [
-            AspectSpec("a", (FeatureSpec("f1", "a"), FeatureSpec("f2", "a"))),
-            AspectSpec("b", (FeatureSpec("f3", "b"),)),
-        ]
-    )
-    users = [f"u{i}" for i in range(6)]
-    n_days = 30
-    days = [date(2010, 1, 1) + timedelta(days=i) for i in range(n_days)]
-    values = np.random.default_rng(7).poisson(5.0, size=(6, 3, 2, n_days)).astype(float)
-    cube = MeasurementCube(values, users, fs, TWO_TIMEFRAMES, days)
-    group_map = {u: ("g1" if i < 3 else "g2") for i, u in enumerate(users)}
-    ae = AutoencoderConfig(
-        encoder_units=(8, 4), epochs=2, batch_size=16,
-        early_stopping_patience=None, validation_split=0.0, seed=1,
-    )
-    model = CompoundBehaviorModel(
-        ModelConfig(window=5, matrix_days=5, critic_n=2, autoencoder=ae)
-    )
-    model.fit(cube, group_map, days[:20])
-    return model, cube, group_map, days
-
-
-def _fresh_stream(stream_parts):
-    from repro.core.streaming import StreamingDetector
-
-    model, cube, group_map, _ = stream_parts
-    return StreamingDetector(model, cube.users, group_map)
-
-
-class TestStreamingIntegration:
-    def test_exporter_ticks_once_per_observed_day(self, tmp_path, stream_parts):
-        model, cube, group_map, days = stream_parts
-        stream = _fresh_stream(stream_parts)
-        exporter = MetricsExporter(tmp_path, every=1)
-        stream.attach_exporter(exporter)
-        for d, day in enumerate(days):
-            stream.observe_day(day, cube.values[:, :, :, d])
-        assert exporter.ticks == len(days)
-        last = json.loads(exporter.jsonl_path.read_text().splitlines()[-1])
-        assert last["durable"]["stream.days_observed"] == float(len(days))
-
-    def test_attachments_do_not_perturb_scores(self, tmp_path, stream_parts):
-        """Bit-identity: a monitored run scores exactly like a bare one."""
-        from repro.core.streaming import DailyResult
-        from repro.obs.drift import DriftConfig, ScoreDriftMonitor
-
-        model, cube, group_map, days = stream_parts
-        bare = _fresh_stream(stream_parts)
-        monitored = _fresh_stream(stream_parts)
-        monitored.attach_exporter(MetricsExporter(tmp_path, every=1))
-        monitored.attach_drift_monitor(
-            ScoreDriftMonitor(DriftConfig(reference_days=3, current_days=1))
-        )
-        for d, day in enumerate(days):
-            a = bare.observe_day(day, cube.values[:, :, :, d])
-            b = monitored.observe_day(day, cube.values[:, :, :, d])
-            assert isinstance(a, DailyResult) == isinstance(b, DailyResult)
-            if isinstance(a, DailyResult):
-                for aspect in a.scores:
-                    np.testing.assert_array_equal(a.scores[aspect], b.scores[aspect])
-
-    def test_kill_and_resume_durable_counters_match_uninterrupted(
-        self, tmp_path, stream_parts
-    ):
-        """The acceptance contract: after a kill at any point, the resumed
-        run's final durable export equals the uninterrupted run's."""
-        model, cube, group_map, days = stream_parts
-
-        full = _fresh_stream(stream_parts)
-        full_exporter = MetricsExporter(tmp_path / "full", every=1)
-        full.attach_exporter(full_exporter)
-        for d, day in enumerate(days):
-            full.observe_day(day, cube.values[:, :, :, d])
-        full_final = json.loads(
-            full_exporter.jsonl_path.read_text().splitlines()[-1]
-        )
-
-        kill_at = 13
-        first = _fresh_stream(stream_parts)
-        first.attach_exporter(MetricsExporter(tmp_path / "first", every=1))
-        for d in range(kill_at):
-            first.observe_day(days[d], cube.values[:, :, :, d])
-        state = first.export_state()  # what the checkpoint persists
-
-        resumed = _fresh_stream(stream_parts)  # fresh process: telemetry reset
-        resumed.restore_state(state)
-        resumed_exporter = MetricsExporter(tmp_path / "resumed", every=1)
-        resumed.attach_exporter(resumed_exporter)
-        for d in range(kill_at, len(days)):
-            resumed.observe_day(days[d], cube.values[:, :, :, d])
-        resumed_final = json.loads(
-            resumed_exporter.jsonl_path.read_text().splitlines()[-1]
-        )
-
-        assert resumed_final["durable"] == full_final["durable"]
-        assert resumed_final["durable"]["stream.days_observed"] == float(len(days))
