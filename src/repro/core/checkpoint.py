@@ -8,23 +8,39 @@ resume, and days k+1..n produce scores bit-identical to an
 uninterrupted run** (pinned by ``tests/core/test_checkpoint_property.py``
 and the golden-file integration test).
 
-Layout of a checkpoint directory (version 4)::
+Layout of a checkpoint directory (version 5)::
 
     <directory>/
-      state_users.npz      # per-user rolling arrays
-      state_groups.npz     # per-group rolling arrays
-      state_<sidecar>      # caller sidecars (e.g. the ingest cursor)
-      manifest.json        # schema + version, day cursor, users/groups,
-                           # user/group state files, sidecar table,
-                           # config digest, degradation counters,
-                           # per-file checksums
+      state_seg_<h>_<r>.bin  # immutable segments, oldest first
+      state_<sidecar>        # caller sidecars (e.g. the ingest cursor)
+      manifest.json          # schema + version, lineage, day cursor,
+                             # users/groups, segment list, sidecar
+                             # table, config digest, degradation
+                             # counters, per-file checksums
 
-Each ``.npz`` holds one stacked member per buffer kind -- ``history``,
-``sigma`` and ``sigweight`` in the user file, ``gsigma`` and
-``gweight`` in the group file -- with the buffered days on the leading
-axis (an empty buffer is a zero-length leading axis).  The manifest
-names the two files under ``user_file`` and ``group_file``.
-Checkpoints of an older layout (version 1, 2 or 3) are refused with
+The rolling state is an append-only **segment log**.  A buffered day
+only ever enters the buffers and later slides out, so each save writes
+one segment holding just the rows appended since the previous save --
+``history`` slabs, ``sigma``/``sigweight`` and ``gsigma``/``gweight``
+deviations, and the rows of a caller's own append-only log (the ingest
+seen-sets) -- and carries the committed segments unchanged.  A segment
+is one flat float64 block per kind plus the log rows as opaque bytes
+(:func:`pack_rows`), so it decodes without a parse.  The manifest lists
+each segment with the row coordinates ``[history, sigma, log]`` it
+starts and stops at; a segment's name records where it stops.
+:func:`load_checkpoint` stacks the listed segments in order and keeps
+the newest ``counts`` days of each buffer, exactly as the detector's
+bounded deques drop the days that slid out of the window.
+
+A save carries the committed segments only when all of them qualify:
+the committed manifest has this stream's ``lineage``, the segments form
+a contiguous cover of the current window and of the log from row 0,
+there are fewer than :data:`COMPACT_SEGMENTS` of them, and every file
+still hashes to its checksum.  Otherwise it writes one **base** segment
+holding the current window and every log row.  So the bytes a save
+writes follow the days since the last save, not the window length.
+
+Checkpoints of an older layout (version 1 to 4) are refused with
 :class:`CheckpointMismatchError`: start a fresh stream.
 
 Durability design, in order of defence:
@@ -32,19 +48,17 @@ Durability design, in order of defence:
 * **Atomic writes** -- every file goes through
   :func:`repro.core.persistence.atomic_write_bytes` (write temp, fsync,
   ``os.replace``).
-* **Manifest-last commit** -- the state files are written before
+* **Manifest-last commit** -- segments and sidecars are written before
   ``manifest.json``, and a save never overwrites a file the committed
   manifest lists: a name it lists is written to its second slot
-  (``state_groups.b.npz``) instead.  A crash before the new manifest
+  (``state_ingest.b.bin``) instead.  A crash before the new manifest
   lands therefore leaves the previous checkpoint complete; files the
   new manifest does not list are removed only after it commits.
-* **Kept files** -- a caller can carry immutable sidecars of the
-  committed checkpoint into the next one without rewriting them
-  (``keep_files``); the ingest layer's seen-set segments use this.
 * **Content checksums** -- the manifest records the SHA-256 of every
   file; :func:`load_checkpoint` verifies each payload once and parses
   exactly the verified bytes, so bit rot and truncation surface as
-  :class:`CheckpointCorruptionError`, never as a NumPy stack trace.
+  :class:`CheckpointCorruptionError`, never as a NumPy stack trace.  A
+  save re-hashes every segment it carries.
 * **Config digest** -- the manifest pins a digest of the model's
   :class:`~repro.core.detector.ModelConfig`; resuming against a model
   with different windows/weights raises :class:`CheckpointMismatchError`
@@ -57,53 +71,57 @@ Durability design, in order of defence:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
+import struct
 import time
-import zipfile
-from dataclasses import asdict
 from datetime import date
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Container, Dict, Mapping, Optional, Sequence, TypeVar, Union
+from typing import (
+    Any, Callable, Container, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 import numpy as np
 
-from repro.core.detector import CompoundBehaviorModel, ModelConfig
+from repro.core.detector import CompoundBehaviorModel, config_digest
 from repro.core.persistence import atomic_write_bytes, file_sha256
 from repro.core.streaming import StreamingDetector, StreamState
-from repro.nn.autoencoder import RETIRED_FIELDS
 from repro.obs import get_telemetry
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_VERSION",
+    "COMPACT_SEGMENTS",
     "CheckpointCorruptionError",
     "CheckpointError",
     "CheckpointMismatchError",
     "CheckpointNotFoundError",
-    "GROUP_STATE_FILE",
     "LoadedCheckpoint",
-    "USER_STATE_FILE",
-    "committed_manifest",
+    "SEGMENT_PREFIX",
     "config_digest",
     "load_checkpoint",
+    "pack_rows",
     "resume_streaming",
     "save_checkpoint",
-    "sidecar_intact",
+    "unpack_rows",
 ]
 
 CHECKPOINT_SCHEMA = "acobe.stream_checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 MANIFEST_FILE = "manifest.json"
-#: Per-user rolling arrays.
-USER_STATE_FILE = "state_users.npz"
-#: Per-group rolling arrays.
-GROUP_STATE_FILE = "state_groups.npz"
+#: Name prefix of the immutable segment files.
+SEGMENT_PREFIX = "state_seg_"
+#: A save that would carry this many segments writes one base segment
+#: instead, so a directory never holds more than this many.
+COMPACT_SEGMENTS = 32
 
-#: Stacked buffer kinds in the user file and in the group file.
-_USER_KINDS = ("history", "sigma", "sigweight")
-_GROUP_KINDS = ("gsigma", "gweight")
+#: The float64 blocks of a segment, in file order, and the row
+#: coordinate (history or sigma) each one advances.
+_COORDINATE = {"history": 0, "sigma": 1, "sigweight": 1, "gsigma": 1, "gweight": 1}
+_KINDS = tuple(_COORDINATE)
+_MAGIC = b"ACOBEROW"
 
 #: Patchable sleep for the retry loop (tests stub it out).
 _SLEEP: Callable[[float], None] = time.sleep
@@ -130,31 +148,6 @@ class CheckpointMismatchError(CheckpointError):
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-
-def config_digest(config: ModelConfig) -> str:
-    """A stable hex digest of a model configuration.
-
-    Two models share a digest iff their *numerically relevant*
-    configurations are equal; the digest is what ties a checkpoint to
-    the model that produced it (weights are covered transitively --
-    training is deterministic in the config, see
-    :mod:`repro.nn.parallel`).
-
-    The digest still records the retired ``n_jobs`` (training workers,
-    which never changed a result) as 1, its value when checkpoints were
-    first written, so those checkpoints keep resuming.  The autoencoder
-    ``dtype`` stays in: float32 and float64 runs are *not* numerically
-    interchangeable.
-    The retired autoencoder fields are hashed at their fixed values
-    (:data:`repro.nn.autoencoder.RETIRED_FIELDS`), as when they were
-    settable, so existing digests stay valid.
-    """
-    fields = asdict(config)
-    fields["n_jobs"] = 1
-    fields["autoencoder"].update(RETIRED_FIELDS)
-    canonical = json.dumps(fields, sort_keys=True, default=list)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _with_retries(
@@ -187,29 +180,64 @@ def _with_retries(
     ) from last
 
 
-def committed_manifest(directory: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """The manifest committed in ``directory``, or None if absent or unreadable.
+def pack_rows(blocks: Mapping[str, Sequence[np.ndarray]], tail: bytes = b"") -> bytes:
+    """One checkpoint file: named blocks of same-shape float64 rows, then ``tail``.
 
-    Saves consult it to learn which files they must not overwrite and
-    which files they may carry; an unreadable manifest carries nothing.
+    The layout is a magic, a small JSON table of ``[name, rows, row
+    shape]``, the rows' raw little-endian float64 bytes block after
+    block, and the caller's ``tail`` bytes; :func:`unpack_rows` reads it
+    back as views of the payload.
+    """
+    layout, body = [], []
+    for name, rows in blocks.items():
+        shape = list(np.shape(rows[0])) if len(rows) else []
+        for row in rows:
+            if list(np.shape(row)) != shape:
+                raise ValueError(f"rows of block {name!r} differ in shape")
+            body.append(np.ascontiguousarray(row, dtype="<f8").tobytes())
+        layout.append([name, len(rows), shape])
+    header = json.dumps(layout).encode("utf-8")
+    return b"".join([_MAGIC, struct.pack("<I", len(header)), header, *body, tail])
+
+
+def unpack_rows(payload: bytes, name: str) -> Tuple[Dict[str, List[np.ndarray]], bytes]:
+    """The blocks and tail of a :func:`pack_rows` payload (read-only row views).
+
+    Raises:
+        CheckpointCorruptionError: ``payload`` is not such a file.
     """
     try:
-        manifest = json.loads((Path(directory) / MANIFEST_FILE).read_text())
-    except (OSError, ValueError):
-        return None
-    return manifest if isinstance(manifest, dict) else None
+        if payload[:len(_MAGIC)] != _MAGIC:
+            raise ValueError("no row-file magic")
+        start = len(_MAGIC) + 4
+        (size,) = struct.unpack_from("<I", payload, len(_MAGIC))
+        offset = start + size
+        blocks: Dict[str, List[np.ndarray]] = {}
+        for block, rows, shape in json.loads(payload[start:offset]):
+            count = rows * math.prod(shape)
+            if count == 0:
+                blocks[block] = []
+                continue
+            flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+            blocks[block] = list(flat.reshape(rows, *shape))
+            offset += 8 * count
+        return blocks, payload[offset:]
+    except (ValueError, TypeError, struct.error) as exc:
+        raise CheckpointCorruptionError(f"unreadable checkpoint file {name}: {exc}") from exc
 
 
-def sidecar_intact(directory: Union[str, Path], manifest: Mapping[str, Any], name: str) -> bool:
-    """Whether sidecar ``name`` of ``manifest`` still hashes to its checksum."""
-    physical = manifest.get("files", {}).get(name)
-    expected = manifest.get("checksums", {}).get(physical)
-    if expected is None:
-        return False
+def _committed_manifest(directory: Path) -> Dict[str, Any]:
+    """The manifest committed in ``directory``; empty if absent or unreadable.
+
+    A save reads it once, to learn which files it must not overwrite
+    and which segments it may carry; an unreadable manifest carries
+    nothing.
+    """
     try:
-        return file_sha256(Path(directory) / physical) == expected
-    except OSError:
-        return False
+        manifest = json.loads((directory / MANIFEST_FILE).read_bytes())
+    except (OSError, ValueError):
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
 
 
 def _unlisted_name(name: str, listed: Container[str]) -> str:
@@ -225,70 +253,144 @@ def _unlisted_name(name: str, listed: Container[str]) -> str:
     return f"{stem}.b.{ext}"
 
 
-def _npz_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+def _rows(stream: StreamingDetector, log_rows: int) -> Tuple[List[int], List[int]]:
+    """The stream's row coordinates ``[history, sigma, log]`` -- rows ever
+    appended -- and those of its oldest buffered history and sigma days.
+
+    Every observed, unquarantined day appends one history slab; once
+    the history is full, each such day also appends one ``sigma`` and
+    one ``gsigma`` pair.
+    """
+    history_rows = stream.days_observed - stream.days_quarantined
+    rows = [history_rows, max(0, history_rows - (stream.model.config.window - 1)), log_rows]
+    history, sigma, _ = stream.buffers()
+    return rows, [rows[0] - len(history), rows[1] - len(sigma)]
 
 
-def _stacked(arrays: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
-    """The buffered days stacked on a leading day axis (``(0, n_rows)`` when empty)."""
-    if not arrays:
-        return np.zeros((0, n_rows))
-    return np.stack(arrays)
-
-
-def _user_state_bytes(state: StreamState, n_users: int) -> bytes:
-    """Serialize the per-user rolling arrays."""
-    return _npz_bytes({
-        "history": _stacked(state.history, n_users),
-        "sigma": _stacked([s for s, _ in state.sigma_buffer], n_users),
-        "sigweight": _stacked([w for _, w in state.sigma_buffer], n_users),
-    })
-
-
-def _group_state_bytes(state: StreamState, n_groups: int) -> bytes:
-    """Serialize the per-group rolling arrays."""
-    return _npz_bytes({
-        "gsigma": _stacked([s for s, _ in state.group_sigma_buffer], n_groups),
-        "gweight": _stacked([w for _, w in state.group_sigma_buffer], n_groups),
-    })
-
-
-def _read_npz(payload: bytes, name: str, kinds: Sequence[str]) -> Dict[str, np.ndarray]:
+def _intact(path: Path, expected: Optional[str]) -> bool:
     try:
-        with np.load(io.BytesIO(payload)) as archive:
-            return {kind: archive[kind] for kind in kinds}
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
-        raise CheckpointCorruptionError(f"unreadable checkpoint state {name}: {exc}") from exc
+        return expected is not None and file_sha256(path) == expected
+    except OSError:
+        return False
 
 
-def _state_from_payloads(
+def _segments_to_carry(
+    directory: Path, committed: Mapping[str, Any], lineage: str, rows: List[int],
+    oldest: List[int],
+) -> List[Dict[str, Any]]:
+    """The committed segments this save may carry (maybe none).
+
+    They qualify only as a whole: this stream's lineage; a contiguous
+    cover of the log from row 0 and of every buffered day this save
+    does not write, ending within the rows this stream holds; fewer
+    than :data:`COMPACT_SEGMENTS` of them; and every file intact.
+    """
+    if committed.get("version") != CHECKPOINT_VERSION or committed.get("lineage") != lineage:
+        return []
+    segments = list(committed.get("segments") or [])
+    if not 0 < len(segments) < COMPACT_SEGMENTS:
+        return []
+    try:
+        if segments[0]["start"][2] != 0:
+            return []
+        # Where the last gap-free run of each buffer's rows starts.
+        reach = list(segments[0]["start"][:2])
+        for previous, segment in zip(segments, segments[1:]):
+            if segment["start"][2] != previous["stop"][2]:
+                return []
+            for k in (0, 1):
+                if segment["start"][k] != previous["stop"][k]:
+                    reach[k] = segment["start"][k]
+        stop = segments[-1]["stop"]
+        if any(stop[k] > rows[k] for k in range(3)):
+            return []
+        # A buffered day the new segment does not hold must be carried.
+        if any(reach[k] > oldest[k] < stop[k] for k in (0, 1)):
+            return []
+    except (KeyError, TypeError, IndexError):
+        return []
+    checksums = committed.get("checksums", {})
+    if not all(_intact(directory / s["file"], checksums.get(s["file"])) for s in segments):
+        return []
+    return segments
+
+
+def _segment_bytes(stream: StreamingDetector, start: List[int], rows: List[int],
+                   log: bytes) -> bytes:
+    """The buffered rows from coordinates ``start`` to ``rows``, plus ``log``."""
+    history, sigma, gsigma = stream.buffers()
+
+    def newest(buffer, count: int) -> list:
+        return list(islice(buffer, len(buffer) - count, None))
+
+    new_history = newest(history, rows[0] - start[0])
+    new_sigma = newest(sigma, rows[1] - start[1])
+    new_gsigma = newest(gsigma, rows[1] - start[1])
+    return pack_rows({
+        "history": new_history,
+        "sigma": [s for s, _ in new_sigma],
+        "sigweight": [w for _, w in new_sigma],
+        "gsigma": [s for s, _ in new_gsigma],
+        "gweight": [w for _, w in new_gsigma],
+    }, log)
+
+
+def _state_from_segments(
     directory: Path, manifest: Mapping[str, Any], payloads: Mapping[str, bytes]
-) -> StreamState:
-    """Rebuild a :class:`StreamState` from the verified user and group payloads."""
-    user_file = manifest.get("user_file", USER_STATE_FILE)
-    user = _read_npz(payloads[user_file], user_file, _USER_KINDS)
-    group_file = manifest.get("group_file", GROUP_STATE_FILE)
-    group = _read_npz(payloads[group_file], group_file, _GROUP_KINDS)
+) -> Tuple[StreamState, List[bytes]]:
+    """Stack the verified segments in order; keep each buffer's newest days.
+
+    Returns the state and each segment's log rows (opaque bytes).
+    """
+    rows: Dict[str, list] = {kind: [] for kind in _KINDS}
+    log: List[bytes] = []
+    previous: Optional[list] = None
+    for segment in manifest.get("segments", []):
+        name, start, stop = segment["file"], segment["start"], segment["stop"]
+        if start[2] != (previous[2] if previous else 0):
+            raise CheckpointCorruptionError(
+                f"segment {name} in {directory} does not continue the log at {previous}"
+            )
+        blocks, tail = unpack_rows(payloads[name], name)
+        found = [len(blocks.get(kind, ())) for kind in _KINDS]
+        added = [stop[_COORDINATE[kind]] - start[_COORDINATE[kind]] for kind in _KINDS]
+        if found != added:
+            raise CheckpointCorruptionError(
+                f"segment {name} in {directory} holds {found} rows per kind, "
+                f"but the manifest lists it from {start} to {stop}"
+            )
+        for kind in _KINDS:
+            k = _COORDINATE[kind]
+            if previous and start[k] != previous[k]:
+                # A save that came more than a window after the previous
+                # one wrote every buffered day: the rows before it are
+                # not this window's.
+                rows[kind].clear()
+            rows[kind].extend(blocks[kind])
+        log.append(tail)
+        previous = stop
 
     counts = manifest.get("counts", {})
-    found = {
-        "history": len(user["history"]),
-        "sigma": len(user["sigma"]),
-        "group_sigma": len(group["gsigma"]),
-    }
-    if found != {key: int(counts.get(key, -1)) for key in found}:
+    wanted = {key: int(counts.get(key, -1)) for key in ("history", "sigma", "group_sigma")}
+    available = {"history": len(rows["history"]), "sigma": len(rows["sigma"]),
+                 "group_sigma": len(rows["gsigma"])}
+    if any(not 0 <= wanted[key] <= available[key] for key in wanted):
         raise CheckpointCorruptionError(
-            f"checkpoint at {directory} holds buffers of lengths {found}, "
-            f"but its manifest records {counts}"
+            f"checkpoint at {directory} records buffers of lengths {counts}, "
+            f"but its segments hold {available}"
         )
-    return StreamState(
-        history=list(user["history"]),
-        sigma_buffer=list(zip(user["sigma"], user["sigweight"])),
-        group_sigma_buffer=list(zip(group["gsigma"], group["gweight"])),
+
+    def newest(kind: str, key: str) -> list:
+        return rows[kind][len(rows[kind]) - wanted[key]:]
+
+    state = StreamState(
+        history=newest("history", "history"),
+        sigma_buffer=list(zip(newest("sigma", "sigma"), newest("sigweight", "sigma"))),
+        group_sigma_buffer=list(zip(newest("gsigma", "group_sigma"),
+                                    newest("gweight", "group_sigma"))),
         last_day=None,
     )
+    return state, log
 
 
 def _check_sidecar_name(filename: str) -> None:
@@ -297,14 +399,13 @@ def _check_sidecar_name(filename: str) -> None:
             f"checkpoint sidecar {filename!r} must be a plain filename starting "
             "with 'state_' (stale-file cleanup tracks that prefix)"
         )
-    if filename.startswith(("state_users", "state_groups")):
-        raise ValueError(f"checkpoint sidecar {filename!r} collides with a core file")
+    if filename.startswith(SEGMENT_PREFIX):
+        raise ValueError(f"checkpoint sidecar {filename!r} collides with the segment names")
 
 
 _CORE_MANIFEST_KEYS = frozenset({
-    "schema", "version", "config_digest", "last_day", "users", "groups",
-    "group_map", "on_bad_day", "user_file", "group_file", "counts",
-    "counters", "files", "checksums",
+    "schema", "version", "config_digest", "lineage", "last_day", "users", "groups",
+    "group_map", "on_bad_day", "segments", "counts", "counters", "files", "checksums",
 })
 
 
@@ -320,14 +421,17 @@ def save_checkpoint(
     backoff: float = 0.05,
     extra_files: Optional[Mapping[str, bytes]] = None,
     extra_manifest: Optional[Mapping[str, Any]] = None,
-    keep_files: Sequence[str] = (),
+    log_rows: int = 0,
+    export_log: Optional[Callable[[int], Tuple[bytes, Mapping[str, bytes]]]] = None,
 ) -> Path:
-    """Atomically persist a stream's full rolling state.
+    """Atomically persist a stream's rolling state.
 
     Safe to call after every observed day: the new manifest is the
     commit point, and no file the previous manifest lists is
     overwritten, so the directory always holds one complete, committed
-    checkpoint.
+    checkpoint.  Writes one segment with the rows appended since the
+    committed checkpoint when that checkpoint can be carried, else one
+    base segment (see the module docstring).
 
     Args:
         stream: the detector whose state to persist.
@@ -335,49 +439,52 @@ def save_checkpoint(
         retries: extra attempts per file on transient ``OSError``.
         backoff: initial retry delay in seconds (doubles per retry).
         extra_files: sidecar payloads a caller wants committed with the
-            same durability guarantees (e.g. the ingest cursor), keyed
-            by a plain ``state_``-prefixed name.  Each is written before
-            the manifest, checksummed in it, verified by
+            same durability guarantees, keyed by a plain
+            ``state_``-prefixed name.  Each is written before the
+            manifest, checksummed in it, verified by
             :func:`load_checkpoint`, and read back with
             :meth:`LoadedCheckpoint.payload`.
         extra_manifest: additional top-level manifest entries (e.g. a
             dataset binding); keys must not collide with the core
             checkpoint fields.
-        keep_files: sidecar names of the *committed* checkpoint to carry
-            into the new one unchanged: listed with their recorded
-            checksums, not rewritten.  The caller vouches that they are
-            intact (see :func:`sidecar_intact`).
+        log_rows / export_log: a caller's append-only row log that rides
+            the segments (the ingest seen-sets).  ``log_rows`` is its
+            length now; ``export_log(offset)`` returns the rows from
+            ``offset`` on as bytes, plus sidecars to write with them.
+            Resume hands each segment's rows back in order
+            (:attr:`LoadedCheckpoint.log`).
 
     Returns:
         The checkpoint directory.
     """
     directory = Path(directory)
     extra_files = dict(extra_files or {})
-    for filename in [*extra_files, *keep_files]:
+    for filename in extra_files:
         _check_sidecar_name(filename)
-    if set(extra_files) & set(keep_files):
-        raise ValueError(
-            f"sidecars {sorted(set(extra_files) & set(keep_files))} are both "
-            "written and kept"
-        )
     for key in extra_manifest or {}:
         if key in _CORE_MANIFEST_KEYS:
             raise ValueError(f"extra_manifest key {key!r} collides with a core manifest field")
-    committed = committed_manifest(directory) or {}
-    listed: Dict[str, str] = committed.get("checksums", {})
-    files: Dict[str, str] = {}
-    checksums: Dict[str, str] = {}
-    for name in keep_files:
-        physical = committed.get("files", {}).get(name)
-        if physical not in listed:
-            raise ValueError(f"cannot keep {name!r}: the committed checkpoint at {directory} "
-                             "does not list it")
-        files[name] = physical
-        checksums[physical] = listed[physical]
 
     telemetry = get_telemetry()
     with telemetry.span("checkpoint.save", directory=str(directory)) as span:
-        state = stream.export_state()
+        committed = _committed_manifest(directory)
+        listed: Dict[str, str] = committed.get("checksums", {})
+        history, sigma, gsigma = stream.buffers()
+        rows, oldest = _rows(stream, log_rows)
+        segments = _segments_to_carry(directory, committed, stream.lineage, rows, oldest)
+        if segments:  # a day that slid out unsaved is not written
+            stop = segments[-1]["stop"]
+            start = [max(stop[0], oldest[0]), max(stop[1], oldest[1]), stop[2]]
+        else:
+            start = [*oldest, 0]
+        log = b""
+        if export_log is not None:
+            log, files = export_log(start[2])
+            for filename in files:
+                _check_sidecar_name(filename)
+            extra_files.update(files)
+
+        checksums = {s["file"]: listed[s["file"]] for s in segments}
         total_bytes = 0
 
         def write(name: str, payload: bytes) -> str:
@@ -391,32 +498,34 @@ def save_checkpoint(
             total_bytes += len(payload)
             return physical
 
-        user_file = write(USER_STATE_FILE, _user_state_bytes(state, len(stream.users)))
-        group_file = write(GROUP_STATE_FILE, _group_state_bytes(state, len(stream.groups)))
-        for name in sorted(extra_files):
-            files[name] = write(name, extra_files[name])
+        if rows != start:
+            name = f"{SEGMENT_PREFIX}{rows[0]:08d}_{rows[2]:08d}.bin"
+            physical = write(name, _segment_bytes(stream, start, rows, log))
+            segments.append({"file": physical, "start": start, "stop": rows})
+        files = {name: write(name, extra_files[name]) for name in sorted(extra_files)}
 
+        last_day = stream.last_day
         manifest = {
             "schema": CHECKPOINT_SCHEMA,
             "version": CHECKPOINT_VERSION,
-            "config_digest": config_digest(stream.model.config),
-            "last_day": state.last_day.isoformat() if state.last_day else None,
-            "users": list(stream.users),
-            "groups": list(stream.groups),
-            "group_map": dict(stream.group_map),
+            "config_digest": stream.config_digest,
+            "lineage": stream.lineage,
+            "last_day": last_day.isoformat() if last_day else None,
+            "users": stream.users,
+            "groups": stream.groups,
+            "group_map": stream.group_map,
             "on_bad_day": stream.on_bad_day,
-            "user_file": user_file,
-            "group_file": group_file,
+            "segments": segments,
             "counts": {
-                "history": len(state.history),
-                "sigma": len(state.sigma_buffer),
-                "group_sigma": len(state.group_sigma_buffer),
+                "history": len(history),
+                "sigma": len(sigma),
+                "group_sigma": len(gsigma),
             },
             "counters": {
-                "days_observed": state.days_observed,
-                "days_quarantined": state.days_quarantined,
-                "days_imputed": state.days_imputed,
-                "values_imputed": state.values_imputed,
+                "days_observed": stream.days_observed,
+                "days_quarantined": stream.days_quarantined,
+                "days_imputed": stream.days_imputed,
+                "values_imputed": stream.values_imputed,
             },
             "files": files,
             "checksums": checksums,
@@ -433,7 +542,7 @@ def save_checkpoint(
             backoff,
         )
         # Post-commit cleanup: drop state files the new manifest does not
-        # list (the previous checkpoint's slots, sidecars nobody carried,
+        # list (segments nobody carried, the previous sidecar slots,
         # orphans of a save that crashed before its manifest).  The load
         # path ignores them, but leaving them would let the fault drills
         # corrupt a file nobody reads.
@@ -443,21 +552,24 @@ def save_checkpoint(
         telemetry.counter("checkpoint.saves").inc()
         span.annotate(
             bytes=total_bytes,
-            history_days=len(state.history),
+            history_days=len(history),
+            segments=len(segments),
             last_day=manifest["last_day"],
         )
     return directory
 
 
 class LoadedCheckpoint:
-    """A validated checkpoint: manifest fields, the restored state, and
-    the verified bytes of every file the manifest lists."""
+    """A validated checkpoint: manifest fields, the restored state, the
+    verified bytes of every file the manifest lists, and each segment's
+    log rows (``log``, oldest first)."""
 
     def __init__(self, manifest: Dict[str, Any], state: StreamState,
-                 payloads: Dict[str, bytes]):
+                 payloads: Dict[str, bytes], log: List[bytes]):
         self.manifest = manifest
         self.state = state
         self.payloads = payloads
+        self.log = log
 
     @property
     def last_day(self) -> Optional[date]:
@@ -474,6 +586,16 @@ class LoadedCheckpoint:
     @property
     def config_digest(self) -> str:
         return self.manifest["config_digest"]
+
+    @property
+    def log_rows(self) -> int:
+        """Rows of the caller's log the segments hold."""
+        segments = self.manifest.get("segments") or [{"stop": [0, 0, 0]}]
+        return int(segments[-1]["stop"][2])
+
+    def has(self, name: str) -> bool:
+        """Whether the checkpoint lists sidecar ``name``."""
+        return name in self.manifest.get("files", {})
 
     def payload(self, name: str) -> bytes:
         """The checksum-verified bytes of sidecar ``name``.
@@ -503,7 +625,7 @@ def load_checkpoint(
             (including the partially-written case where only state
             files made it to disk).
         CheckpointCorruptionError: manifest unreadable, state file
-            missing, checksum mismatch, or archive truncated/corrupt.
+            missing, checksum mismatch, or segment truncated/corrupt.
         CheckpointMismatchError: the checkpoint has another layout
             version than this build's (older ones are not migrated).
     """
@@ -547,14 +669,14 @@ def load_checkpoint(
             "--resume into an empty checkpoint directory)"
         )
 
-    # Verify every listed file, core and sidecar alike: the manifest is
-    # the commit record, so anything it lists must be present and intact
-    # for the checkpoint to count as valid.
+    # Verify every listed file, segment and sidecar alike: the manifest
+    # is the commit record, so anything it lists must be present and
+    # intact for the checkpoint to count as valid.
     checksums = manifest.get("checksums", {})
-    listed = [
-        str(manifest.get("user_file", USER_STATE_FILE)),
-        str(manifest.get("group_file", GROUP_STATE_FILE)),
-    ]
+    try:
+        listed = [segment["file"] for segment in manifest.get("segments", [])]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointCorruptionError(f"malformed segment list in {manifest_path}") from exc
     listed.extend(manifest.get("files", {}).values())
     listed += [name for name in sorted(checksums) if name not in listed]
     payloads: Dict[str, bytes] = {}
@@ -576,7 +698,10 @@ def load_checkpoint(
             )
         payloads[filename] = payload
 
-    state = _state_from_payloads(directory, manifest, payloads)
+    try:
+        state, log = _state_from_segments(directory, manifest, payloads)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise CheckpointCorruptionError(f"malformed segment list in {manifest_path}") from exc
     last_day = manifest.get("last_day")
     state.last_day = date.fromisoformat(last_day) if last_day else None
     counters = manifest.get("counters", {})
@@ -585,7 +710,7 @@ def load_checkpoint(
     state.days_imputed = int(counters.get("days_imputed", 0))
     state.values_imputed = int(counters.get("values_imputed", 0))
     get_telemetry().counter("checkpoint.loads").inc()
-    return LoadedCheckpoint(manifest, state, payloads)
+    return LoadedCheckpoint(manifest, state, payloads, log)
 
 
 def resume_streaming(
@@ -600,10 +725,10 @@ def resume_streaming(
     """Rebuild a :class:`StreamingDetector` from a checkpoint.
 
     The detector continues exactly where the checkpointed stream
-    stopped: same users, groups, rolling buffers and day cursor, so the
-    next :meth:`~StreamingDetector.observe_day` call scores the day
-    after ``checkpoint.last_day`` bit-identically to a stream that
-    never died.
+    stopped: same users, groups, rolling buffers, day cursor and
+    lineage, so the next :meth:`~StreamingDetector.observe_day` call
+    scores the day after ``checkpoint.last_day`` bit-identically to a
+    stream that never died, and its next save carries the segments.
 
     Args:
         model: the fitted model the original stream wrapped (reload it
@@ -652,5 +777,6 @@ def resume_streaming(
         on_bad_day=policy,
     )
     stream.restore_state(checkpoint.state)
+    stream.lineage = checkpoint.manifest.get("lineage", stream.lineage)
     get_telemetry().counter("checkpoint.resumes").inc()
     return stream

@@ -27,7 +27,9 @@ Workflow: ``fit(cube, group_map, train_days)`` then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -44,7 +46,7 @@ from repro.core.pipeline import DetectionPipeline
 from repro.core.representation import MatrixView, RepresentationPipeline
 from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
-from repro.nn.autoencoder import Autoencoder, AutoencoderConfig
+from repro.nn.autoencoder import RETIRED_FIELDS, Autoencoder, AutoencoderConfig
 from repro.nn.network import TrainingHistory
 from repro.nn.parallel import AspectTask, derive_seed, train_ensemble
 from repro.obs import get_telemetry
@@ -82,6 +84,31 @@ class ModelConfig:
             raise ValueError(f"train_stride must be >= 1, got {self.train_stride}")
         if self.critic_n < 1:
             raise ValueError(f"critic_n must be >= 1, got {self.critic_n}")
+
+
+def config_digest(config: ModelConfig) -> str:
+    """A stable hex digest of a model configuration.
+
+    Two models share a digest iff their *numerically relevant*
+    configurations are equal; the digest is what ties a checkpoint to
+    the model that produced it (weights are covered transitively --
+    training is deterministic in the config, see
+    :mod:`repro.nn.parallel`).
+
+    The digest still records the retired ``n_jobs`` (training workers,
+    which never changed a result) as 1, its value when checkpoints were
+    first written, so those checkpoints keep resuming.  The autoencoder
+    ``dtype`` stays in: float32 and float64 runs are *not* numerically
+    interchangeable.
+    The retired autoencoder fields are hashed at their fixed values
+    (:data:`repro.nn.autoencoder.RETIRED_FIELDS`), as when they were
+    settable, so existing digests stay valid.
+    """
+    fields = asdict(config)
+    fields["n_jobs"] = 1
+    fields["autoencoder"].update(RETIRED_FIELDS)
+    canonical = json.dumps(fields, sort_keys=True, default=list)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class CompoundBehaviorModel:

@@ -44,15 +44,17 @@ Fault tolerance (see ``docs/OPERATIONS.md``):
 from __future__ import annotations
 
 import time
+import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.critic import InvestigationList
-from repro.core.detector import CompoundBehaviorModel
+from repro.core.detector import CompoundBehaviorModel, config_digest
 from repro.core.deviation import DeviationConfig, deviate_against_history, group_means
 from repro.core.representation import aspect_rows, compound_values
 from repro.obs import get_telemetry
@@ -216,6 +218,17 @@ class StreamingDetector:
         self.days_quarantined = 0
         self.days_imputed = 0
         self.values_imputed = 0
+        #: Identifies this stream across checkpoints: minted here, restored
+        #: by :func:`repro.core.checkpoint.resume_streaming`.  A checkpoint
+        #: directory whose manifest carries another lineage belongs to a
+        #: different stream, so none of its segments are carried into this
+        #: stream's next save.
+        self.lineage = uuid.uuid4().hex
+
+    @cached_property
+    def config_digest(self) -> str:
+        """:func:`~repro.core.detector.config_digest` of the (frozen) model config."""
+        return config_digest(self.model.config)
 
     def durable_counters(self) -> Dict[str, int]:
         """Checkpoint-backed lifetime totals (survive process restarts).
@@ -467,6 +480,16 @@ class StreamingDetector:
             days_imputed=self.days_imputed,
             values_imputed=self.values_imputed,
         )
+
+    def buffers(self) -> Tuple[Sequence[np.ndarray], Sequence[Tuple[np.ndarray, np.ndarray]],
+                               Sequence[Tuple[np.ndarray, np.ndarray]]]:
+        """The rolling buffers themselves, oldest day first, uncopied.
+
+        History slabs, then ``(sigma, weight)`` pairs, then group pairs;
+        a checkpoint encodes the days it has not saved yet straight from
+        them.  Read only: the detector never writes a buffered array.
+        """
+        return self._history, self._sigma_buffer, self._group_sigma_buffer
 
     def restore_state(self, state: StreamState) -> None:
         """Install a previously exported state (bit-exact resume).

@@ -22,7 +22,10 @@ every scored day, the :class:`IngestQualityMonitor` (event sources only)
 reads the lifetime delivery counters when the step sealed a day, then
 the :class:`MetricsExporter` ticks.  The days a final ``finish`` seals
 get the drift and quality checks but no tick.  The detector and the
-ingestor hold no observers, so no observer can change a score.
+ingestor hold no observers, so no observer can change a score.  Each
+checkpoint save carries the two monitors' windows and fire-once flags
+in a sidecar (:data:`MONITORS_FILE`), and ``--resume`` restores them, so
+a resumed run alerts on the same days as one that never stopped.
 
 Callers need no argparse: ``run(DaySource(cert_config("small")),
 RunOptions(checkpoint_dir="ckpt", out="days.json"))``.  Every source,
@@ -43,6 +46,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.core.checkpoint import (
     CheckpointMismatchError,
     CheckpointNotFoundError,
+    LoadedCheckpoint,
+    load_checkpoint,
     resume_streaming,
     save_checkpoint,
 )
@@ -82,6 +87,9 @@ from repro.obs import (
 
 #: Models with the deviation representation -- the ones that can stream.
 STREAMING_MODELS = tuple(key for key, row in ZOO.items() if row.representation == "deviation")
+
+#: Checkpoint sidecar holding the drift and ingest-quality monitors' state.
+MONITORS_FILE = "state_monitors.json"
 
 
 def make_model(name: str, config: CertBenchmarkConfig, dtype=None):
@@ -190,9 +198,9 @@ class Source:
     builds the ``feed`` unless one was given (by default, the preset's
     simulation); ``start``/``resume`` set ``detector`` and ``monitored``,
     the object whose ``durable_counters`` the metrics exports carry.  A
-    source implements ``resume``, ``pending``/``advance`` (the steps the
-    stop-after cut counts), ``save``, ``stop_message``, ``summary`` and
-    ``report_meta``.
+    source implements ``resume`` (from a loaded checkpoint), ``pending``/
+    ``advance`` (the steps the stop-after cut counts), ``save`` (with the
+    driver's sidecars), ``stop_message``, ``summary`` and ``report_meta``.
     """
 
     name = ""  # checkpoint subdirectory, run-report prefix
@@ -235,9 +243,11 @@ class DaySource(Source):
     schema = "acobe.stream_results"
     stop_flag = "--stop-after-days"
 
-    def resume(self, model, directory: Path, on_bad_day, binding) -> None:
+    def resume(self, model, directory: Path, checkpoint: LoadedCheckpoint, on_bad_day,
+               binding) -> None:
         self.start(resume_streaming(
-            model, directory, on_bad_day=on_bad_day, expected_manifest=binding
+            model, directory, on_bad_day=on_bad_day, checkpoint=checkpoint,
+            expected_manifest=binding,
         ))
         last = self.detector.last_day
         if last is not None and last >= self.feed.cube.days[-1]:
@@ -254,8 +264,8 @@ class DaySource(Source):
         result = self.detector.observe_day(cube.days[d], cube.values[:, :, :, d])
         return [] if result is None else [result]
 
-    def save(self, directory: Path, binding) -> None:
-        save_checkpoint(self.detector, directory, extra_manifest=binding)
+    def save(self, directory: Path, binding, files) -> None:
+        save_checkpoint(self.detector, directory, extra_files=files, extra_manifest=binding)
 
     def stop_message(self, consumed: int) -> str:
         return (f"stopping after {consumed} day(s) as requested "
@@ -311,10 +321,11 @@ class EventSource(Source):
         self.monitored = self.ingestor = ingestor
         self.detector = ingestor.detector
 
-    def resume(self, model, directory: Path, on_bad_day, binding) -> None:
+    def resume(self, model, directory: Path, checkpoint: LoadedCheckpoint, on_bad_day,
+               binding) -> None:
         self._open(resume_ingest(
             model, directory, on_bad_day=on_bad_day, config=self.ingest_config,
-            expected_manifest=binding,
+            expected_manifest=binding, checkpoint=checkpoint,
         ))
         print(f"resumed from {directory} at seal cursor {self.ingestor.cursor} "
               f"({self.ingestor.days_sealed} days sealed, "
@@ -342,8 +353,9 @@ class EventSource(Source):
     def finish(self) -> list:
         return self.ingestor.flush(until=self.feed.cube.days[-1])
 
-    def save(self, directory: Path, binding) -> None:
-        save_ingest_checkpoint(self.ingestor, directory, extra_manifest=binding)
+    def save(self, directory: Path, binding, files) -> None:
+        save_ingest_checkpoint(self.ingestor, directory, extra_manifest=binding,
+                               extra_files=files)
 
     def stop_message(self, consumed: int) -> str:
         return (f"stopping after {consumed:,} deliveries as requested "
@@ -417,7 +429,7 @@ def run(source: Source, options: RunOptions) -> int:
         bool(options.trace or options.metrics_out or options.metrics_export or options.log),
         options.log,
     )
-    exporter = drift = quality = None
+    exporter = drift = quality = checkpoint = None
     emitted: list = []
     consumed = 0
     failed = False
@@ -439,7 +451,8 @@ def run(source: Source, options: RunOptions) -> int:
         if options.resume:
             attach_representation(model, feed.cube, feed.group_map, feed.train_days)
             try:
-                source.resume(model, state_dir, options.on_bad_day, binding)
+                checkpoint = load_checkpoint(state_dir)
+                source.resume(model, state_dir, checkpoint, options.on_bad_day, binding)
             except CheckpointNotFoundError:
                 return _error(f"no checkpoint at {state_dir}; {_RUN_FRESH}", 2)
             except CheckpointMismatchError as exc:
@@ -461,6 +474,11 @@ def run(source: Source, options: RunOptions) -> int:
             drift = ScoreDriftMonitor()
             if source.delivery_counters() is not None:
                 quality = IngestQualityMonitor()
+            if checkpoint is not None and checkpoint.has(MONITORS_FILE):
+                saved = json.loads(checkpoint.payload(MONITORS_FILE))
+                drift.restore_state(saved["drift"])
+                if quality is not None and saved["quality"] is not None:
+                    quality.restore_state(saved["quality"])
         # Days the detector advanced (scored, warming up or quarantined);
         # an event-source step that moved it sealed a day.
         observed = source.detector.days_observed
@@ -484,6 +502,15 @@ def run(source: Source, options: RunOptions) -> int:
                 quality.observe(source.detector.last_day, **source.delivery_counters())
             observed = days
 
+        def save() -> None:
+            """Checkpoint the source, with the monitors' state when they run."""
+            files = {}
+            if drift is not None:
+                monitors = {"drift": drift.export_state(),
+                            "quality": quality.export_state() if quality is not None else None}
+                files[MONITORS_FILE] = json.dumps(monitors).encode("utf-8")
+            source.save(state_dir, binding, files)
+
         # The cadence counts days the detector advanced since the last
         # save; the final save happens when anything moved since then.
         saved_days, unsaved_steps = observed, 0
@@ -498,7 +525,7 @@ def run(source: Source, options: RunOptions) -> int:
                 consumed += 1
                 unsaved_steps += 1
                 if state_dir is not None and observed - saved_days >= options.checkpoint_every:
-                    source.save(state_dir, binding)
+                    save()
                     saved_days, unsaved_steps = observed, 0
             else:
                 observe(source.finish())
@@ -506,12 +533,12 @@ def run(source: Source, options: RunOptions) -> int:
             failed = True
             _error(str(exc), 1)
             if state_dir is not None:
-                source.save(state_dir, binding)
+                save()
                 print(f"saved checkpoint to {state_dir}", file=sys.stderr)
         else:
             moved = unsaved_steps or observed != saved_days
             if state_dir is not None and moved:
-                source.save(state_dir, binding)
+                save()
     finally:
         if exporter is not None:
             exporter.flush(telemetry, source.monitored.durable_counters())

@@ -19,7 +19,6 @@ from repro.ingest.arrival import (
     shuffled_arrival,
 )
 from repro.ingest.checkpoint import (
-    INGEST_DOC_FILE,
     INGEST_MANIFEST_KEY,
     INGEST_STATE_FILE,
     resume_ingest,
@@ -40,7 +39,6 @@ from repro.ingest.slab import SlabBuilder
 
 __all__ = [
     "ArrivalRecord",
-    "INGEST_DOC_FILE",
     "INGEST_MANIFEST_KEY",
     "INGEST_STATE_FILE",
     "IngestBackpressureError",

@@ -10,55 +10,50 @@ crash between them replays events into a detector that already scored
 them.
 
 :func:`save_ingest_checkpoint` therefore rides the core
-:func:`~repro.core.checkpoint.save_checkpoint`, adding sidecars:
+:func:`~repro.core.checkpoint.save_checkpoint`:
 
-* ``state_ingest.json`` -- lineage, cursor, watermark, counters,
-  pending novelty counters, fingerprints;
-* ``state_ingest.npz`` -- the open days' raw slabs;
-* ``state_seen_<first>_<last>.json`` -- immutable segments of the
-  seen-set commit log (rows ``first..last``, as JSON
-  ``{kind: {user index: [key strings]}}``).
+* the **seen-sets** ride the core segment log.  They only grow, and
+  only at a seal, so each save's segment holds, next to the detector
+  rows, just the seen-set rows committed since the previous save (as
+  JSON ``{kind: {user index: [key strings]}}``); a base segment holds
+  every row.  The core decides which segments a save carries and when
+  it compacts them, once for both kinds of rows.
+* ``state_ingest.bin`` -- the small mutable cursor, rewritten by every
+  save: the open days' raw slabs as float64 rows, then the cursor
+  document (JSON: seal cursor, watermark, counters, pending novelty
+  counters, fingerprints).
 
-Seen-sets only grow, and only at a seal, so a save writes a segment
-holding just the rows committed since the previous checkpoint and
-carries the earlier segments over unchanged (``keep_files``).  It
-carries them only when the committed manifest has this ingestor's
-lineage, every segment still hashes to its checksum, and the segments
-cover a prefix of the commit log; otherwise it writes one base segment
-with every row.  Once :data:`SEEN_COMPACT_SEGMENTS` segments have
-accumulated, the next save folds them into a fresh base.  The core
-manifest, written last, stays the only commit point.
+The core manifest, written last, stays the only commit point; its
+``ingest`` entry records the ingest configuration, the seen-set row
+count and the lifetime counters.
 
 :func:`resume_ingest` is the inverse: one checkpoint load (each file
 read and checksum-verified once) rebuilds the detector *and* the
 ingestor around it -- seen-sets from the segments in order, mid-day
 partial state included -- so a killed run continues bit-identical to
-one that never died.  A driving loop that replays its delivery sequence
-can skip the first ``ingestor.events_pushed`` deliveries -- and even
-without skipping, re-delivered records for still-open days collapse
-against the restored fingerprints.
+one that never died, and its next save carries the segments.  A driving
+loop that replays its delivery sequence can skip the first
+``ingestor.events_pushed`` deliveries -- and even without skipping,
+re-delivered records for still-open days collapse against the restored
+fingerprints.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import zipfile
 from datetime import date
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
-
-import numpy as np
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.checkpoint import (
     CheckpointCorruptionError,
     CheckpointMismatchError,
     LoadedCheckpoint,
-    committed_manifest,
     load_checkpoint,
+    pack_rows,
     resume_streaming,
     save_checkpoint,
-    sidecar_intact,
+    unpack_rows,
 )
 from repro.core.detector import CompoundBehaviorModel
 from repro.ingest.ingestor import IngestConfig, Ingestor
@@ -66,27 +61,16 @@ from repro.ingest.slab import SlabBuilder
 from repro.utils.timeutil import TWO_TIMEFRAMES
 
 __all__ = [
-    "INGEST_DOC_FILE",
     "INGEST_MANIFEST_KEY",
     "INGEST_STATE_FILE",
-    "SEEN_COMPACT_SEGMENTS",
     "resume_ingest",
     "save_ingest_checkpoint",
 ]
 
-#: JSON sidecar holding the ingest cursor document.
-INGEST_DOC_FILE = "state_ingest.json"
-#: npz sidecar holding the open days' raw slabs.
-INGEST_STATE_FILE = "state_ingest.npz"
-#: Top-level manifest key describing the ingest sidecars.
+#: Sidecar holding the ingest cursor: open-day slabs, then the document.
+INGEST_STATE_FILE = "state_ingest.bin"
+#: Top-level manifest key describing the ingest cursor.
 INGEST_MANIFEST_KEY = "ingest"
-#: A save that would carry this many seen-set segments writes one base
-#: segment instead, so a directory never holds more than this many.
-SEEN_COMPACT_SEGMENTS = 32
-
-
-def _seen_segment_file(start: int, stop: int) -> str:
-    return f"state_seen_{start:08d}_{stop - 1:08d}.json"
 
 
 def _accumulator_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -105,55 +89,32 @@ def _config_doc(config: IngestConfig) -> Dict[str, Any]:
     }
 
 
-def _carried_segments(directory: Path, ingestor: Ingestor) -> List[Dict[str, Any]]:
-    """The committed seen-set segments this save may keep (maybe none).
-
-    They qualify only as a whole: same lineage, a contiguous cover of
-    log rows ``[0, k)`` with ``k`` within this ingestor's log, fewer
-    than :data:`SEEN_COMPACT_SEGMENTS` of them, and every file intact.
-    """
-    manifest = committed_manifest(directory)
-    entry = (manifest or {}).get(INGEST_MANIFEST_KEY) or {}
-    if entry.get("lineage") != ingestor.lineage:
-        return []
-    segments = list(entry.get("seen_segments", []))
-    if len(segments) >= SEEN_COMPACT_SEGMENTS:
-        return []
-    stop = 0
-    for segment in segments:
-        if segment["start"] != stop or segment["stop"] <= stop:
-            return []
-        stop = segment["stop"]
-    if stop > ingestor.builder.seen_rows:
-        return []
-    if not all(sidecar_intact(directory, manifest, s["file"]) for s in segments):
-        return []
-    return segments
-
-
 def save_ingest_checkpoint(
     ingestor: Ingestor,
     directory: Union[str, Path],
     retries: int = 2,
     backoff: float = 0.05,
     extra_manifest: Optional[Mapping[str, Any]] = None,
+    extra_files: Optional[Mapping[str, bytes]] = None,
 ) -> Path:
     """Atomically persist detector state *and* ingest cursor together.
 
-    Writes only the seen-set rows committed since the checkpoint already
-    in ``directory`` when that checkpoint belongs to this ingestor's
-    lineage; see the module docstring.
+    Writes only the detector days and seen-set rows added since the
+    checkpoint already in ``directory`` when the core can carry that
+    checkpoint; see the module docstring.
 
     Args:
         ingestor: the ingestor to persist; must have a detector attached
-            (the ingest sidecars ride the stream checkpoint's manifest).
+            (the ingest cursor rides the stream checkpoint's manifest).
         directory: checkpoint directory (created if missing).  One
-            writer per directory: two live ingestors of the same lineage
+            writer per directory: two live streams of the same lineage
             saving into one directory would carry each other's rows.
         retries / backoff: transient-I/O retry knobs, as in
             :func:`repro.core.checkpoint.save_checkpoint`.
         extra_manifest: further top-level manifest entries (e.g. the
             CLI's dataset binding).
+        extra_files: further sidecars (e.g. the run driver's monitor
+            state), as in :func:`repro.core.checkpoint.save_checkpoint`.
 
     Returns:
         The checkpoint directory.
@@ -166,36 +127,20 @@ def save_ingest_checkpoint(
     for key in extra_manifest or {}:
         if key == INGEST_MANIFEST_KEY:
             raise ValueError(f"extra_manifest key {key!r} is reserved for the ingest entry")
-    directory = Path(directory)
-    segments = _carried_segments(directory, ingestor)
-    carried_rows = segments[-1]["stop"] if segments else 0
-    doc, arrays = ingestor.export_state(seen_offset=carried_rows)
-    accumulator = _accumulator_doc(doc)
-    new_rows = accumulator.pop("seen")
-    total_rows = accumulator["seen_total"]
+    seen_rows = ingestor.builder.seen_rows
 
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    extra_files = {
-        INGEST_DOC_FILE: json.dumps(doc, sort_keys=True).encode("utf-8"),
-        INGEST_STATE_FILE: buffer.getvalue(),
-    }
-    keep_files = [segment["file"] for segment in segments]
-    if total_rows > carried_rows:
-        segment = {
-            "file": _seen_segment_file(carried_rows, total_rows),
-            "start": carried_rows,
-            "stop": total_rows,
-        }
-        extra_files[segment["file"]] = json.dumps(new_rows).encode("utf-8")
-        segments.append(segment)
+    def export_log(offset: int) -> Tuple[bytes, Dict[str, bytes]]:
+        doc, arrays = ingestor.export_state(seen_offset=offset)
+        new_rows = _accumulator_doc(doc).pop("seen")
+        cursor = pack_rows(
+            {"open_raw": [arrays[f"open_raw_{i}"] for i in range(len(arrays))]},
+            json.dumps(doc, sort_keys=True).encode("utf-8"),
+        )
+        log = json.dumps(new_rows).encode("utf-8") if offset < seen_rows else b""
+        return log, {INGEST_STATE_FILE: cursor}
 
     manifest_entry = {
-        "doc_file": INGEST_DOC_FILE,
-        "state_file": INGEST_STATE_FILE,
-        "lineage": ingestor.lineage,
-        "seen_rows": total_rows,
-        "seen_segments": segments,
+        "seen_rows": seen_rows,
         "config": _config_doc(ingestor.config),
         "counters": {
             "events_pushed": ingestor.events_pushed,
@@ -211,38 +156,34 @@ def save_ingest_checkpoint(
         backoff=backoff,
         extra_files=extra_files,
         extra_manifest={INGEST_MANIFEST_KEY: manifest_entry, **(extra_manifest or {})},
-        keep_files=keep_files,
+        log_rows=seen_rows,
+        export_log=export_log,
     )
 
 
 def _seen_keys(
     checkpoint: LoadedCheckpoint, entry: Mapping[str, Any], directory
 ) -> Dict[str, Dict[str, list]]:
-    """The seen-set commit log, merged from its verified segments in order."""
+    """The seen-set commit log, merged from the segments' rows in order."""
+    if checkpoint.log_rows != entry.get("seen_rows"):
+        raise CheckpointCorruptionError(
+            f"checkpoint at {directory} records {entry.get('seen_rows')} seen-set rows "
+            f"but its segments cover {checkpoint.log_rows}"
+        )
     seen: Dict[str, Dict[str, list]] = {}
-    stop = 0
-    for segment in entry.get("seen_segments", []):
-        if segment["start"] != stop:
-            raise CheckpointCorruptionError(
-                f"seen-set segment {segment['file']} in {directory} does not continue "
-                f"the log at row {stop}"
-            )
+    for part in checkpoint.log:
+        if not part:
+            continue
         try:
-            part = json.loads(checkpoint.payload(segment["file"]))
+            rows = json.loads(part)
         except ValueError as exc:
             raise CheckpointCorruptionError(
-                f"unreadable seen-set segment {segment['file']} in {directory}: {exc}"
+                f"unreadable seen-set rows in a segment in {directory}: {exc}"
             ) from exc
-        for kind, per_user in part.items():
+        for kind, per_user in rows.items():
             merged = seen.setdefault(kind, {})
             for user, keys in per_user.items():
                 merged.setdefault(user, []).extend(keys)
-        stop = segment["stop"]
-    if stop != entry.get("seen_rows"):
-        raise CheckpointCorruptionError(
-            f"checkpoint at {directory} records {entry.get('seen_rows')} seen-set rows "
-            f"but its segments cover {stop}"
-        )
     return seen
 
 
@@ -255,6 +196,7 @@ def resume_ingest(
     timeframes=TWO_TIMEFRAMES,
     retries: int = 2,
     backoff: float = 0.05,
+    checkpoint: Optional[LoadedCheckpoint] = None,
 ) -> Ingestor:
     """Rebuild an :class:`Ingestor` (detector included) from a checkpoint.
 
@@ -273,6 +215,8 @@ def resume_ingest(
             recorded (e.g. the CLI's dataset binding); see
             :func:`repro.core.checkpoint.resume_streaming`.
         timeframes: the intra-day split the original builder used.
+        checkpoint: an already-loaded checkpoint for ``directory`` (a
+            caller that reads its sidecars loads it once).
 
     Raises:
         CheckpointMismatchError: the checkpoint has no ingest entry
@@ -281,7 +225,8 @@ def resume_ingest(
         CheckpointCorruptionError: a sidecar is missing, fails its
             checksum, or cannot be parsed.
     """
-    checkpoint: LoadedCheckpoint = load_checkpoint(directory, retries=retries, backoff=backoff)
+    if checkpoint is None:
+        checkpoint = load_checkpoint(directory, retries=retries, backoff=backoff)
     entry = checkpoint.manifest.get(INGEST_MANIFEST_KEY)
     if entry is None:
         raise CheckpointMismatchError(
@@ -324,17 +269,14 @@ def resume_ingest(
         expected_manifest=expected_manifest,
     )
 
-    doc_file = entry.get("doc_file", INGEST_DOC_FILE)
+    blocks, tail = unpack_rows(checkpoint.payload(INGEST_STATE_FILE), INGEST_STATE_FILE)
     try:
-        doc = json.loads(checkpoint.payload(doc_file))
+        doc = json.loads(tail)
     except ValueError as exc:
-        raise CheckpointCorruptionError(f"unreadable ingest cursor {doc_file}: {exc}") from exc
-    state_file = entry.get("state_file", INGEST_STATE_FILE)
-    try:
-        with np.load(io.BytesIO(checkpoint.payload(state_file))) as archive:
-            arrays = {name: np.asarray(archive[name], dtype=np.float64) for name in archive.files}
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, OSError) as exc:
-        raise CheckpointCorruptionError(f"unreadable ingest state {state_file}: {exc}") from exc
+        raise CheckpointCorruptionError(
+            f"unreadable ingest cursor {INGEST_STATE_FILE}: {exc}"
+        ) from exc
+    arrays = {f"open_raw_{i}": raw for i, raw in enumerate(blocks.get("open_raw", []))}
     _accumulator_doc(doc)["seen"] = _seen_keys(checkpoint, entry, directory)
 
     builder = SlabBuilder(stream.users, timeframes)

@@ -73,7 +73,7 @@ class AutoencoderConfig:
 #: Fields ``AutoencoderConfig`` once had, at the only values any model
 #: was trained with.  Models saved before the recipe was fixed carry them:
 #: :func:`repro.core.persistence.load_model` accepts them at these values
-#: only, and :func:`repro.core.checkpoint.config_digest` still hashes them,
+#: only, and :func:`repro.core.detector.config_digest` still hashes them,
 #: so the digests of existing checkpoints stay valid.
 RETIRED_FIELDS = {
     "activation": "relu",

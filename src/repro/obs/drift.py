@@ -240,6 +240,26 @@ class ScoreDriftMonitor:
             self._alerting[aspect] = breached
         return emitted
 
+    def export_state(self) -> Dict[str, Any]:
+        """The rolling windows, fire-once flags and day count, as JSON-ready data.
+
+        :meth:`restore_state` continues from it, so a run resumed from a
+        checkpoint alerts on the same days as one that never stopped.
+        :attr:`alerts` is not part of it: each run reports its own.
+        """
+        return {
+            "days": {aspect: list(days) for aspect, days in self._days.items()},
+            "alerting": dict(self._alerting),
+            "days_observed": self.days_observed,
+        }
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        """Continue from an :meth:`export_state` document."""
+        self._days = {aspect: deque(days, maxlen=self._window)
+                      for aspect, days in state["days"].items()}
+        self._alerting = dict(state["alerting"])
+        self.days_observed = int(state["days_observed"])
+
 
 @dataclass(frozen=True)
 class IngestQualityConfig:
@@ -326,3 +346,11 @@ class IngestQualityMonitor:
                 )
             self._alerting[metric] = breached
         return emitted
+
+    def export_state(self) -> Dict[str, Any]:
+        """The fire-once flags, as JSON-ready data (see :meth:`ScoreDriftMonitor.export_state`)."""
+        return {"alerting": dict(self._alerting)}
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        """Continue from an :meth:`export_state` document."""
+        self._alerting = dict(state["alerting"])

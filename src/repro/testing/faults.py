@@ -181,18 +181,19 @@ def flip_bit(path: Union[str, Path], offset: Optional[int] = None, bit: int = 0)
 
 
 def corrupt_checkpoint_state(directory: Union[str, Path]) -> Path:
-    """Bit-flip a committed checkpoint's state payload.
+    """Bit-flip a committed checkpoint's detector state.
 
-    Flips the first ``state*.npz`` file in sorted order (the group state
-    ``state_groups.npz`` in a fresh checkpoint directory).  The manifest's
+    Flips the middle byte of the first ``state_seg_*.bin`` segment in
+    sorted order -- the oldest, which in a fresh checkpoint directory is
+    the base segment holding the buffered days.  The manifest's
     recorded checksum is left untouched, so the next
     :func:`repro.core.checkpoint.load_checkpoint` must fail with a
     checksum mismatch -- this is the canonical corruption-detection
     probe.
     """
-    state_files = sorted(Path(directory).glob("state*.npz"))
+    state_files = sorted(Path(directory).glob("state_seg_*.bin"))
     if not state_files:
-        raise FileNotFoundError(f"no checkpoint state files in {directory}")
+        raise FileNotFoundError(f"no checkpoint segments in {directory}")
     return flip_bit(state_files[0])
 
 

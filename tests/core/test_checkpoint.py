@@ -8,9 +8,8 @@ import pytest
 
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
-    GROUP_STATE_FILE,
     MANIFEST_FILE,
-    USER_STATE_FILE,
+    SEGMENT_PREFIX,
     CheckpointCorruptionError,
     CheckpointError,
     CheckpointMismatchError,
@@ -19,6 +18,7 @@ from repro.core.checkpoint import (
     load_checkpoint,
     resume_streaming,
     save_checkpoint,
+    unpack_rows,
 )
 from repro.core.detector import CompoundBehaviorModel, ModelConfig
 from repro.core.persistence import load_model, save_model
@@ -27,7 +27,7 @@ from repro.features.measurements import MeasurementCube
 from repro.features.spec import AspectSpec, FeatureSet, FeatureSpec
 from repro.nn.autoencoder import AutoencoderConfig
 from repro.obs import Telemetry, set_telemetry
-from repro.testing.faults import corrupt_checkpoint_state, transient_io_errors
+from repro.testing.faults import corrupt_checkpoint_state, flip_bit, transient_io_errors
 from repro.utils.timeutil import TWO_TIMEFRAMES
 
 TINY_AE = AutoencoderConfig(
@@ -73,6 +73,10 @@ def fitted(cube, group_map):
 @pytest.fixture
 def no_sleep(monkeypatch):
     monkeypatch.setattr("repro.core.checkpoint._SLEEP", lambda seconds: None)
+
+
+def manifest_of(directory):
+    return json.loads((directory / MANIFEST_FILE).read_text())
 
 
 def feed(stream, cube, start, stop):
@@ -197,12 +201,16 @@ class TestValidation:
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.faults
-    @pytest.mark.parametrize("missing", [USER_STATE_FILE, GROUP_STATE_FILE])
+    @pytest.mark.parametrize("missing", [0, -1], ids=["base", "delta"])
     def test_partially_written_no_state(self, tmp_path, cube, group_map, fitted, missing):
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 10)
         save_checkpoint(stream, tmp_path / "ckpt")
-        (tmp_path / "ckpt" / missing).unlink()
+        feed(stream, cube, 10, 12)
+        save_checkpoint(stream, tmp_path / "ckpt")
+        segments = manifest_of(tmp_path / "ckpt")["segments"]
+        assert len(segments) == 2
+        (tmp_path / "ckpt" / segments[missing]["file"]).unlink()
         with pytest.raises(CheckpointCorruptionError, match="partially written"):
             load_checkpoint(tmp_path / "ckpt")
 
@@ -353,7 +361,7 @@ def set_manifest_version(directory, version):
 
 
 class TestLegacyVersionsRejected:
-    """Layouts before version 4 are refused, never migrated."""
+    """Layouts before version 5 are refused, never migrated."""
 
     def test_v1_checkpoint_refused(self, tmp_path, cube, group_map, fitted):
         stream = StreamingDetector(fitted, cube.users, group_map)
@@ -362,7 +370,7 @@ class TestLegacyVersionsRejected:
         with pytest.raises(CheckpointMismatchError, match="layout version 1.*fresh stream"):
             load_checkpoint(tmp_path / "v1")
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_older_layout_refused(self, tmp_path, cube, group_map, fitted, version):
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 15)
@@ -383,8 +391,8 @@ class TestLegacyVersionsRejected:
             load_checkpoint(tmp_path / "old")
 
     def test_fresh_save_replaces_legacy_checkpoint(self, tmp_path, cube, group_map, fitted):
-        # Starting a fresh stream in the old directory commits a v4
-        # checkpoint and removes the legacy state file.
+        # Starting a fresh stream in the old directory commits a
+        # current checkpoint and removes the legacy state file.
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 15)
         write_v1_checkpoint(tmp_path / "v1", stream)
@@ -397,16 +405,20 @@ class TestStateLayout:
     def test_fresh_save_writes_exactly_the_core_files(
         self, tmp_path, cube, group_map, fitted
     ):
+        # One base segment holding the window (history keeps window - 1 = 4
+        # days, the deviation buffers matrix_days = 5), a sidecar, the manifest.
         stream = StreamingDetector(fitted, cube.users, group_map)
         feed(stream, cube, 0, 12)
         save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_cursor.json": b"{}"})
+        segment = f"{SEGMENT_PREFIX}00000012_00000000.bin"
         assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == sorted(
-            [MANIFEST_FILE, USER_STATE_FILE, GROUP_STATE_FILE, "state_cursor.json"]
+            [MANIFEST_FILE, segment, "state_cursor.json"]
         )
-        manifest = json.loads((tmp_path / "ckpt" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == CHECKPOINT_VERSION == 4
-        assert manifest["user_file"] == USER_STATE_FILE
-        assert manifest["group_file"] == GROUP_STATE_FILE
+        manifest = manifest_of(tmp_path / "ckpt")
+        assert manifest["version"] == CHECKPOINT_VERSION == 5
+        assert manifest["lineage"] == stream.lineage
+        assert manifest["segments"] == [{"file": segment, "start": [8, 3, 0], "stop": [12, 8, 0]}]
+        assert manifest["counts"] == {"history": 4, "sigma": 5, "group_sigma": 5}
 
     def test_state_files_hold_one_stacked_member_per_kind(
         self, tmp_path, cube, group_map, fitted
@@ -415,12 +427,17 @@ class TestStateLayout:
         feed(stream, cube, 0, 12)
         save_checkpoint(stream, tmp_path / "ckpt")
         state = stream.export_state()
-        with np.load(tmp_path / "ckpt" / USER_STATE_FILE) as archive:
-            assert sorted(archive.files) == ["history", "sigma", "sigweight"]
-            np.testing.assert_array_equal(archive["history"], np.stack(state.history))
-        with np.load(tmp_path / "ckpt" / GROUP_STATE_FILE) as archive:
-            assert sorted(archive.files) == ["gsigma", "gweight"]
-            assert len(archive["gsigma"]) == len(state.group_sigma_buffer)
+        name = manifest_of(tmp_path / "ckpt")["segments"][0]["file"]
+        blocks, log = unpack_rows((tmp_path / "ckpt" / name).read_bytes(), name)
+        assert list(blocks) == ["history", "sigma", "sigweight", "gsigma", "gweight"]
+        assert log == b""
+        np.testing.assert_array_equal(np.stack(blocks["history"]), np.stack(state.history))
+        np.testing.assert_array_equal(
+            np.stack(blocks["sigweight"]), np.stack([w for _, w in state.sigma_buffer])
+        )
+        np.testing.assert_array_equal(
+            np.stack(blocks["gsigma"]), np.stack([s for s, _ in state.group_sigma_buffer])
+        )
 
     def test_empty_buffers_round_trip(self, tmp_path, cube, group_map, fitted):
         # Before the first day every buffer is empty: a zero-length
@@ -586,8 +603,7 @@ class TestExtraSidecars:
 
     @pytest.mark.parametrize(
         "filename",
-        ["cursor.json", "sub/state_x.json", "state.npz", GROUP_STATE_FILE,
-         USER_STATE_FILE],
+        ["cursor.json", "sub/state_x.json", "state.npz", f"{SEGMENT_PREFIX}x.bin"],
     )
     def test_invalid_extra_filenames_rejected(
         self, tmp_path, cube, group_map, fitted, filename
@@ -619,21 +635,35 @@ class TestExtraSidecars:
         load_checkpoint(tmp_path / "ckpt")  # still consistent
 
     def test_kept_sidecar_is_carried_without_rewrite(self, tmp_path, cube, group_map, fitted):
+        # The committed segments are the files a save keeps: the next save
+        # lists them unchanged and writes one segment with the new day.
         stream = self._stream(cube, group_map, fitted)
         save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_log.json": b"rows"})
-        path = tmp_path / "ckpt" / "state_log.json"
+        (base,) = manifest_of(tmp_path / "ckpt")["segments"]
+        path = tmp_path / "ckpt" / base["file"]
         before = path.stat()
-        save_checkpoint(stream, tmp_path / "ckpt", keep_files=["state_log.json"])
+        feed(stream, cube, 10, 11)
+        save_checkpoint(stream, tmp_path / "ckpt", extra_files={"state_log.json": b"rows"})
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        segments = manifest_of(tmp_path / "ckpt")["segments"]
+        assert segments[0] == base
+        assert [s["start"] for s in segments[1:]] == [base["stop"]]
         assert load_checkpoint(tmp_path / "ckpt").payload("state_log.json") == b"rows"
 
     def test_keeping_an_unlisted_sidecar_rejected(self, tmp_path, cube, group_map, fitted):
+        # A segment file the committed manifest does not list (the orphan
+        # of a save that crashed before its manifest) is never carried:
+        # the next save lists only its own segments and removes the orphan.
         stream = self._stream(cube, group_map, fitted)
         save_checkpoint(stream, tmp_path / "ckpt")
-        with pytest.raises(ValueError, match="does not list"):
-            save_checkpoint(stream, tmp_path / "ckpt", keep_files=["state_log.json"])
-        load_checkpoint(tmp_path / "ckpt")  # the committed checkpoint is untouched
+        orphan = tmp_path / "ckpt" / f"{SEGMENT_PREFIX}00000011_00000000.bin"
+        orphan.write_bytes(b"not listed")
+        feed(stream, cube, 10, 12)
+        save_checkpoint(stream, tmp_path / "ckpt")
+        assert orphan.name not in manifest_of(tmp_path / "ckpt")["checksums"]
+        assert not orphan.exists()
+        assert load_checkpoint(tmp_path / "ckpt").last_day == DAYS[11]
 
     def test_expected_manifest_mismatch_blocks_resume(
         self, tmp_path, cube, group_map, fitted
@@ -668,3 +698,142 @@ class TestExtraSidecars:
             expected_manifest={"dataset": {"preset": "small", "seed": 7}},
         )
         assert resumed.days_observed == stream.days_observed
+
+
+LONG_DAYS = [date(2010, 1, 1) + timedelta(days=i) for i in range(70)]
+
+
+@pytest.fixture(scope="module")
+def long_cube(cube):
+    values = np.random.default_rng(11).poisson(5.0, size=(6, 3, 2, len(LONG_DAYS))).astype(float)
+    return MeasurementCube(values, cube.users, cube.feature_set, TWO_TIMEFRAMES, LONG_DAYS)
+
+
+def fitted_with_window(long_cube, group_map, window):
+    model = CompoundBehaviorModel(
+        ModelConfig(window=window, matrix_days=window, critic_n=2, autoencoder=TINY_AE)
+    )
+    model.fit(long_cube, group_map, LONG_DAYS[:45])
+    return model
+
+
+def feed_days(stream, cube, days):
+    results = {}
+    for d in days:
+        out = stream.observe_day(cube.days[d], cube.values[:, :, :, d])
+        if out is not None:
+            results[cube.days[d]] = out
+    return results
+
+
+def assert_same_scores(got, expected):
+    assert list(got) == list(expected)
+    for day, result in got.items():
+        for aspect in expected[day].scores:
+            assert np.array_equal(result.scores[aspect], expected[day].scores[aspect])
+
+
+class TestSegmentLog:
+    """Each save writes the days since the last one; resume stacks the segments."""
+
+    def test_steady_state_bytes_do_not_depend_on_window(
+        self, tmp_path, long_cube, group_map, monkeypatch
+    ):
+        # Save after every day, as the CLI does, with windows of 5 and 15
+        # days.  Once the deviation buffers fill, a save that carries the
+        # committed segments writes one day's rows plus the manifest --
+        # the same bytes for both windows.
+        monkeypatch.setattr("repro.core.checkpoint.COMPACT_SEGMENTS", 8)
+        written = {}
+        for window in (5, 15):
+            model = fitted_with_window(long_cube, group_map, window)
+            stream = StreamingDetector(model, long_cube.users, group_map)
+            ckpt = tmp_path / f"w{window}"
+            listed, saves = set(), []
+            for d in range(len(LONG_DAYS)):
+                feed_days(stream, long_cube, [d])
+                save_checkpoint(stream, ckpt)
+                manifest = manifest_of(ckpt)
+                new = set(manifest["checksums"]) - listed
+                listed = set(manifest["checksums"])
+                assert len(new) == 1 and len(manifest["segments"]) <= 8
+                base = manifest["segments"][0]["file"] in new
+                nbytes = sum((ckpt / name).stat().st_size for name in new)
+                saves.append((d, base, nbytes, (ckpt / MANIFEST_FILE).stat().st_size))
+            written[window] = saves
+        steady = {
+            window: {d: (nbytes, manifest) for d, base, nbytes, manifest in saves
+                     if d >= 2 * 15 and not base}
+            for window, saves in written.items()
+        }
+        days = sorted(set(steady[5]) & set(steady[15]))
+        assert len(days) >= 10
+        for d in days:
+            assert steady[5][d][0] == steady[15][d][0]  # the segment: one day of rows
+            assert abs(steady[5][d][1] - steady[15][d][1]) <= 64  # the manifest's digits
+        # Compaction folded the segments into bases along the way.
+        assert sum(base for _, base, _, _ in written[15]) >= 5
+
+    def test_resumed_stream_carries_every_segment(self, tmp_path, cube, group_map, fitted):
+        ckpt = tmp_path / "ckpt"
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        for start, stop in ((0, 10), (10, 12), (12, 14)):
+            feed(stream, cube, start, stop)
+            save_checkpoint(stream, ckpt)
+        carried = manifest_of(ckpt)["segments"]
+        assert len(carried) == 3
+
+        resumed = resume_streaming(fitted, ckpt)
+        assert resumed.lineage == stream.lineage
+        feed(resumed, cube, 14, 15)
+        save_checkpoint(resumed, ckpt)
+        segments = manifest_of(ckpt)["segments"]
+        assert segments[:3] == carried
+        assert [s["start"] for s in segments[3:]] == [carried[-1]["stop"]]
+
+    def test_foreign_lineage_writes_a_base(self, tmp_path, cube, group_map, fitted):
+        # Another stream's checkpoint at the same day count: only the
+        # lineage says its segments are not this stream's rows.
+        ckpt = tmp_path / "ckpt"
+        other = StreamingDetector(fitted, cube.users, group_map)
+        feed(other, cube, 0, 8)
+        save_checkpoint(other, ckpt)
+        feed(other, cube, 8, 10)
+        save_checkpoint(other, ckpt)
+        foreign = [s["file"] for s in manifest_of(ckpt)["segments"]]
+
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        feed(stream, cube, 0, 10)
+        save_checkpoint(stream, ckpt)
+        manifest = manifest_of(ckpt)
+        assert manifest["lineage"] == stream.lineage != other.lineage
+        assert [(s["start"], s["stop"]) for s in manifest["segments"]] == [([6, 1, 0], [10, 6, 0])]
+        assert not any((ckpt / name).exists() for name in foreign)
+
+    def test_bit_flip_in_carried_segment_writes_a_base(self, tmp_path, cube, group_map, fitted):
+        ckpt = tmp_path / "ckpt"
+        reference = feed(StreamingDetector(fitted, cube.users, group_map), cube, 0, N_DAYS)
+        stream = StreamingDetector(fitted, cube.users, group_map)
+        for start, stop in ((0, 10), (10, 11), (11, 12)):
+            feed(stream, cube, start, stop)
+            save_checkpoint(stream, ckpt)
+        segments = manifest_of(ckpt)["segments"]
+        assert len(segments) == 3
+        damaged = ckpt / segments[1]["file"]
+        assert unpack_rows(damaged.read_bytes(), damaged.name)[0]["history"]
+        # The segment's last row byte: detector rows, not its header.
+        flip_bit(damaged, offset=damaged.stat().st_size - 1)
+        with pytest.raises(CheckpointCorruptionError, match="checksum mismatch"):
+            load_checkpoint(ckpt)
+
+        # The next save cannot carry the damaged segment: a fresh base.
+        feed(stream, cube, 12, 13)
+        save_checkpoint(stream, ckpt)
+        assert [(s["start"], s["stop"]) for s in manifest_of(ckpt)["segments"]] == [
+            ([9, 4, 0], [13, 9, 0])
+        ]
+        assert not damaged.exists()
+        resumed = resume_streaming(fitted, ckpt)
+        tail = feed(resumed, cube, 13, N_DAYS)
+        assert_same_scores(tail, {d: r for d, r in reference.items() if d > DAYS[12]})
+

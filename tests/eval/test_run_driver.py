@@ -283,3 +283,30 @@ def test_late_burst_raises_one_late_rate_alert(config, feed, uninterrupted, tmp_
     # Checked on the counters after the step that sealed the next day:
     # the whole burst is in them.
     assert alerts[0]["context"]["events_late"] == source.ingestor.events_late
+
+
+@pytest.mark.parametrize("kind, stop_after", [("day", 30), ("shuffled", 30000)])
+def test_resumed_monitors_raise_the_uninterrupted_alerts(kind, stop_after, config, feed, tmp_path):
+    """The monitors' windows and fire-once flags travel in the checkpoint:
+    after a stop and resume, the resumed run raises exactly the alerts the
+    uninterrupted run raised for the days after the cut."""
+
+    def monitored(name, **options):
+        report = tmp_path / f"{name}-report.json"
+        code, days = run_days(tmp_path / f"{name}.json", make_source(kind, config, feed),
+                              drift_monitor=True, metrics_out=str(report), **options)
+        assert code == 0
+        return days, json.loads(report.read_text())["alerts"]
+
+    _, full = monitored("full")
+    checkpoints = str(tmp_path / "ckpt")
+    first, _ = monitored("first", checkpoint_dir=checkpoints, stop_after=stop_after)
+    rest, resumed = monitored("resumed", checkpoint_dir=checkpoints, resume=True)
+    cut = first[-1]["day"]
+    assert rest[0]["day"] > cut
+    after_cut = [alert for alert in full if alert["day"] > cut]
+    # A monitor that started empty would stay silent for the resumed run's
+    # first reference_days + current_days - 1 (16) scored days.
+    silent = {doc["day"] for doc in rest[:16]}
+    assert any(alert["day"] in silent for alert in after_cut)
+    assert resumed == after_cut

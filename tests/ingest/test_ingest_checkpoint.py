@@ -1,5 +1,5 @@
-"""Ingest checkpoint: mid-day kill-and-resume bit-identity, seen-set
-segments, fault drills."""
+"""Ingest checkpoint: mid-day kill-and-resume bit-identity, the segment
+log's seen-set rows, fault drills."""
 
 import json
 from dataclasses import replace
@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.checkpoint import (
     MANIFEST_FILE,
+    SEGMENT_PREFIX,
     CheckpointCorruptionError,
     CheckpointError,
     CheckpointMismatchError,
@@ -86,8 +87,14 @@ def manifest_of(directory):
     return json.loads((directory / MANIFEST_FILE).read_text())
 
 
-def seen_segments(directory):
-    return manifest_of(directory)[INGEST_MANIFEST_KEY]["seen_segments"]
+def segments(directory):
+    return manifest_of(directory)["segments"]
+
+
+def seen_cover(directory):
+    """The seen-set rows ``(first, stop)`` the listed segments cover."""
+    listed = segments(directory)
+    return listed[0]["start"][2], listed[-1]["stop"][2]
 
 
 def builder_doc(ingestor):
@@ -261,7 +268,7 @@ class TestFaultDrills:
         with transient_io_errors(100, path_substring=MANIFEST_FILE):
             with pytest.raises(CheckpointError):
                 save_ingest_checkpoint(ingestor, ckpt, retries=1)
-        orphans = {path.name for path in ckpt.glob("state_seen_*")}
+        orphans = {path.name for path in ckpt.glob(f"{SEGMENT_PREFIX}*")}
         orphans -= set(manifest_of(ckpt)["checksums"])
         assert orphans, "the crashed save never wrote its segment"
 
@@ -288,22 +295,20 @@ class TestFaultDrills:
             push_through(ingestor, records[done:cut])
             done = cut
             save_ingest_checkpoint(ingestor, ckpt)
-        manifest = manifest_of(ckpt)
-        segments = manifest[INGEST_MANIFEST_KEY]["seen_segments"]
-        assert len(segments) == 3
-        flip_bit(ckpt / manifest["files"][segments[0]["file"]])
+        listed = segments(ckpt)
+        assert len(listed) == 3
+        flip_bit(ckpt / listed[0]["file"])
         with pytest.raises(CheckpointCorruptionError, match="checksum mismatch"):
             load_checkpoint(ckpt)
 
         # The next save cannot carry the damaged segment: a fresh base.
         push_through(ingestor, records[done:int(len(records) * 0.8)])
         save_ingest_checkpoint(ingestor, ckpt)
-        assert seen_segments(ckpt) == [
-            {"file": seen_segments(ckpt)[0]["file"], "start": 0,
-             "stop": ingestor.builder.seen_rows},
-        ]
+        assert len(segments(ckpt)) == 1
+        assert seen_cover(ckpt) == (0, ingestor.builder.seen_rows)
         resumed = resume_ingest(setup["model"], ckpt)
         assert builder_doc(resumed) == builder_doc(ingestor)
+        assert_states_equal(resumed.detector.export_state(), ingestor.detector.export_state())
 
     def test_foreign_lineage_directory_gets_a_full_base(self, setup, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -315,22 +320,32 @@ class TestFaultDrills:
         save_ingest_checkpoint(other, ckpt)
         push_through(other, records[int(len(records) * 0.15):int(len(records) * 0.3)])
         save_ingest_checkpoint(other, ckpt)
-        foreign = [segment["file"] for segment in seen_segments(ckpt)]
+        foreign = [segment["file"] for segment in segments(ckpt)]
         assert len(foreign) == 2
 
         ingestor = fresh_ingestor(setup)
         push_through(ingestor, records[:int(len(records) * 0.5)])
         save_ingest_checkpoint(ingestor, ckpt)
-        entry = manifest_of(ckpt)[INGEST_MANIFEST_KEY]
-        assert entry["lineage"] == ingestor.lineage != other.lineage
+        lineage = manifest_of(ckpt)["lineage"]
+        assert lineage == ingestor.detector.lineage != other.detector.lineage
         assert other.builder.seen_rows < ingestor.builder.seen_rows
-        assert [(s["start"], s["stop"]) for s in entry["seen_segments"]] == [
-            (0, ingestor.builder.seen_rows)
-        ]
+        assert len(segments(ckpt)) == 1
+        assert seen_cover(ckpt) == (0, ingestor.builder.seen_rows)
         assert not any((ckpt / name).exists() for name in foreign)
         resumed = resume_ingest(setup["model"], ckpt)
-        assert resumed.lineage == ingestor.lineage
+        assert resumed.detector.lineage == ingestor.detector.lineage
         assert builder_doc(resumed) == builder_doc(ingestor)
+
+
+def assert_states_equal(got, expected):
+    assert len(got.history) == len(expected.history)
+    for a, b in zip(got.history, expected.history):
+        np.testing.assert_array_equal(a, b)
+    for buffer in ("sigma_buffer", "group_sigma_buffer"):
+        assert len(getattr(got, buffer)) == len(getattr(expected, buffer))
+        for (s1, w1), (s2, w2) in zip(getattr(got, buffer), getattr(expected, buffer)):
+            np.testing.assert_array_equal(s1, s2)
+            np.testing.assert_array_equal(w1, w2)
 
 
 @pytest.fixture(scope="module")
@@ -358,11 +373,11 @@ def long_setup():
 
 class TestSeenSegments:
     def test_bytes_per_save_stay_flat(self, long_setup, tmp_path, monkeypatch):
-        # Save after every sealed day, as the CLI does.  A save writes
-        # the rolling detector state, the cursor sidecars, one segment
-        # with the day's new seen-set rows, and the manifest -- not the
-        # whole seen-set history.
-        monkeypatch.setattr("repro.ingest.checkpoint.SEEN_COMPACT_SEGMENTS", 8)
+        # Save after every sealed day, as the CLI does.  A save writes at
+        # most three files: one segment with the day's detector rows and
+        # new seen-set rows, the cursor, and the manifest -- not the
+        # detector window or the whole seen-set history.
+        monkeypatch.setattr("repro.core.checkpoint.COMPACT_SEGMENTS", 8)
         ckpt = tmp_path / "ckpt"
         ingestor = fresh_ingestor(long_setup)
         saves = []  # (carried rows, bytes written, wrote a base segment)
@@ -375,12 +390,12 @@ class TestSeenSegments:
             save_ingest_checkpoint(ingestor, ckpt)
             manifest = manifest_of(ckpt)
             written = set(manifest["checksums"]) - listed
+            assert len(written) + 1 <= 3  # and the manifest
             nbytes = sum((ckpt / name).stat().st_size for name in written)
             nbytes += (ckpt / MANIFEST_FILE).stat().st_size
-            segments = manifest[INGEST_MANIFEST_KEY]["seen_segments"]
-            base = bool(segments) and manifest["files"][segments[0]["file"]] in written
+            base = manifest["segments"][0]["file"] in written
             saves.append((manifest[INGEST_MANIFEST_KEY]["seen_rows"], nbytes, base))
-            assert len(list(ckpt.glob("state_seen_*"))) <= 8
+            assert len(list(ckpt.glob(f"{SEGMENT_PREFIX}*"))) <= 8
             listed = set(manifest["checksums"])
         assert len(saves) >= 60
         assert sum(base for _, _, base in saves) >= 5  # compaction folded segments
@@ -400,11 +415,12 @@ class TestSeenSegments:
         save_ingest_checkpoint(ingestor, ckpt)
         push_through(ingestor, records[int(len(records) * 0.3):int(len(records) * 0.5)])
         save_ingest_checkpoint(ingestor, ckpt)
-        carried = seen_segments(ckpt)
+        carried = segments(ckpt)
 
         resumed = resume_ingest(setup["model"], ckpt)
         push_through(resumed, records[int(len(records) * 0.5):int(len(records) * 0.7)])
         save_ingest_checkpoint(resumed, ckpt)
-        segments = seen_segments(ckpt)
-        assert segments[:len(carried)] == carried
-        assert segments[-1]["stop"] == resumed.builder.seen_rows
+        listed = segments(ckpt)
+        assert listed[:len(carried)] == carried
+        assert listed[len(carried)]["start"][2] == carried[-1]["stop"][2]
+        assert seen_cover(ckpt) == (0, resumed.builder.seen_rows)

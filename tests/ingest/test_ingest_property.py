@@ -206,7 +206,7 @@ def test_on_disk_save_and_resume_at_any_cut_bit_identical(event_list, shuffle_se
 
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(SlabBuilder, "seal", recording_seal), \
-            mock.patch("repro.ingest.checkpoint.SEEN_COMPACT_SEGMENTS", 2):
+            mock.patch("repro.core.checkpoint.COMPACT_SEGMENTS", 2):
         directory = Path(tmp)
         ingestor = fresh()
         index, crashed = 0, False
